@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet bench bench-sweep sweep fuzz cover golden telemetry test-metrics-race snapshot-check farm-check fleet-bench serve-check serve-smoke policy-check resilience-check resilience-smoke tech-check scorecard all
+.PHONY: build test race vet bench bench-sweep sweep fuzz cover golden telemetry test-metrics-race snapshot-check farm-check fleet-bench serve-check serve-smoke policy-check resilience-check resilience-smoke tech-check scorecard reports-drift all
 
 # Perf trajectory output of `make bench` (see EXPERIMENTS.md).
 BENCH_OUT ?= BENCH_PR6.json
@@ -58,8 +58,8 @@ snapshot-check:
 # Farm equivalence gate (race-enabled): the batched shared-sampler path must
 # reproduce every pinned golden digest — single-chip farms, the six-scenario
 # shared-sampler farm, group splits, distinct-seed replicas, whole-fleet
-# snapshot/restore mid-run — plus the sweep-level farm-vs-scalar CSV
-# byte-identity and the fleet metrics observer.
+# snapshot/restore mid-run — plus the sweep-level CSV byte-identity of
+# every farm route against the pinned sweeps and the fleet metrics observer.
 farm-check:
 	$(GO) test -race ./internal/check -run 'TestFarm'
 	$(GO) test -race ./internal/metrics -run 'TestFarmObserver'
@@ -91,8 +91,8 @@ cover:
 
 # Adaptive/predictive control gate (race-enabled): the estimator and policy
 # unit suites, the three new pinned golden scenarios, their snapshot-resume
-# bit-identity, and the sweep-level farm-vs-scalar CSV byte-identity for the
-# -adaptive / mpc / cache routes.
+# bit-identity, and the sweep-level farm-vs-resilient CSV byte-identity for
+# the -adaptive / mpc / cache routes.
 policy-check:
 	$(GO) test -race ./internal/pic ./internal/gpm
 	$(GO) test -race ./internal/check -run 'TestGoldenScenarios$$/(adaptive-pic|mpc-gpm|cache-aware)|TestGoldenSnapshotResumeEquivalence'
@@ -140,6 +140,12 @@ resilience-smoke: build
 # scorecard-csv/ (ci.yml uploads them as an informational artifact).
 scorecard: build
 	$(GO) run ./cmd/cpmsim -csv scorecard-csv run scorecard
+
+# Checked-in reports drift gate: regenerate reports_full.txt from the code
+# and fail if it differs from the committed file (progress goes to stderr).
+reports-drift:
+	$(GO) run ./cmd/cpmsim run all > reports_full.txt
+	git diff --exit-code reports_full.txt
 
 # Regenerate the golden traces after an intentional behaviour change.
 golden:

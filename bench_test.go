@@ -264,7 +264,11 @@ func BenchmarkMaxBIPSDP16(b *testing.B) {
 }
 
 func benchMaxBIPSPlan(b *testing.B, islands int) {
-	pl, err := maxbips.New(powerTable(b))
+	tables := make([]*power.DVFSTable, islands)
+	for i := range tables {
+		tables[i] = powerTable(b)
+	}
+	pl, err := maxbips.NewPerIsland(tables)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,8 +9,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/farm"
-	"github.com/cpm-sim/cpm/internal/metrics"
-	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 )
@@ -20,8 +18,8 @@ import (
 // farm. All points share the sweep's workload identity (budget, controller
 // and initial DVFS level are compute-half state), so they collapse into one
 // sampler group and the sweep pays the sampling cost of a single run
-// instead of 1+2*len(budgets) runs. Chips are bit-identical to the scalar
-// route's, so the CSV is byte-identical at any -workers or -farm-size.
+// instead of 1+2*len(budgets) runs. Grouping never changes a chip's
+// trajectory, so the CSV is byte-identical at any -workers or -farm-size.
 func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]sweepRow, error) {
 	var warmManaged, warmBase, samplerState []byte
 	var err error
@@ -46,97 +44,40 @@ func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Wri
 	suites := make([]*check.Suite, nPoints)
 	errCtx := make([]string, nPoints)
 
+	// build adapts one point's stack builder into a ChipSpec session
+	// factory that records the point's suite.
+	build := func(i int, fn func(cmp *sim.CMP) (*engine.Session, *check.Suite, error)) func(*sim.CMP) (*engine.Session, error) {
+		return func(cmp *sim.CMP) (*engine.Session, error) {
+			sess, suite, err := fn(cmp)
+			suites[i] = suite
+			return sess, err
+		}
+	}
 	specs = append(specs, farm.ChipSpec{
 		Config: bcfg,
 		Init:   restoreWarmTemplate(warmBase),
-		NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
-			var obs []engine.Observer
-			if o.Check {
-				suites[0] = check.All(check.ForChip(cmp, 0))
-				obs = append(obs, suites[0])
-			}
-			if o.Metrics != nil {
-				obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{Label: "unmanaged", Chip: cmp}))
-			}
-			return engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-				WarmEpochs: warmLeft, MeasureEpochs: o.Epochs, Label: "unmanaged",
-			}, obs...)
-		},
+		NewSession: build(0, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
+			return buildUnmanaged(cmp, o, warmLeft)
+		}),
 	})
-
 	for pi, frac := range o.Fracs {
 		frac := frac
 		budget := cal.BudgetW(frac)
 		idxCPM, idxMB := 1+2*pi, 2+2*pi
 		errCtx[idxCPM] = fmt.Sprintf("budget %.2f W", budget)
 		errCtx[idxMB] = fmt.Sprintf("maxbips budget %.2f W", budget)
-
 		specs = append(specs, farm.ChipSpec{
 			Config: cfg,
 			Init:   restoreWarmTemplate(warmManaged),
-			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
-				// Policies can be stateful (e.g. variation-aware), so each
-				// point builds its own instance.
-				pol, err := makePolicy(o.Policy)
-				if err != nil {
-					return nil, err
-				}
-				c, err := core.New(cmp, core.Config{BudgetW: budget, Policy: pol, Transducers: cal.Transducers, Adaptive: adaptiveConfig(o.Adaptive, cal)})
-				if err != nil {
-					return nil, err
-				}
-				var obs []engine.Observer
-				if o.Check {
-					suites[idxCPM] = check.ForCPM(c, budget)
-					obs = append(obs, suites[idxCPM])
-				}
-				if o.Metrics != nil {
-					pics := make([]*pic.Controller, cmp.NumIslands())
-					for i := range pics {
-						pics[i] = c.PIC(i)
-					}
-					obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
-						Label: fmt.Sprintf("cpm-%.2f", frac), Chip: cmp, PICs: pics,
-					}))
-				}
-				return engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-					WarmEpochs: warmLeft, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "cpm",
-				}, obs...)
-			},
-		})
-
-		specs = append(specs, farm.ChipSpec{
+			NewSession: build(idxCPM, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
+				return buildCPM(cmp, o, cal, frac, warmLeft)
+			}),
+		}, farm.ChipSpec{
 			Config: cfg,
 			Init:   restoreWarmTemplate(warmManaged),
-			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
-				planner, err := engine.NewStaticPlanner(cmp)
-				if err != nil {
-					return nil, err
-				}
-				r, err := engine.NewMaxBIPSRunner(cmp, planner, budget, 20)
-				if err != nil {
-					return nil, err
-				}
-				var obs []engine.Observer
-				if o.Check {
-					// Open-loop MaxBIPS overshoots realized power by design;
-					// widen the budget tolerance to the paper's reported
-					// ~20% worst case.
-					ccfg := check.ForChip(cmp, budget)
-					ccfg.BudgetTolFrac = 0.25
-					ccfg.IslandTolFrac = 0.25
-					suites[idxMB] = check.All(ccfg)
-					obs = append(obs, suites[idxMB])
-				}
-				if o.Metrics != nil {
-					obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
-						Label: fmt.Sprintf("maxbips-%.2f", frac), Chip: cmp,
-					}))
-				}
-				return engine.NewSession(r, engine.SessionConfig{
-					WarmEpochs: warmLeft, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "maxbips",
-				}, obs...)
-			},
+			NewSession: build(idxMB, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
+				return buildMaxBIPS(cmp, o, budget, frac, warmLeft)
+			}),
 		})
 	}
 

@@ -4,10 +4,11 @@
 // By default the sweep routes every point — the unmanaged baseline plus a
 // CPM and a MaxBIPS run per budget — through one internal/farm fleet: the
 // points share a workload identity, so they share one trace sampler and
-// each pays only its cheap frequency-dependent half. -scalar restores the
-// legacy independent-simulation path; both paths, any -workers and any
-// -farm-size produce byte-identical CSV (results are emitted in budget
-// order). Progress and ETA go to stderr; stdout carries only the CSV.
+// each pays only its cheap frequency-dependent half. -resilient routes the
+// same points through the crash-safe sweepd coordinator instead. Both
+// routes, any -workers and any -farm-size produce byte-identical CSV
+// (results are emitted in budget order). Progress and ETA go to stderr;
+// stdout carries only the CSV.
 //
 // Usage:
 //
@@ -34,7 +35,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
-	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -55,7 +55,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	workers := fs.Int("workers", 0, "concurrent budget points (0 = GOMAXPROCS)")
 	checked := fs.Bool("check", false, "attach the invariant-checking suite to every run")
 	warmstart := fs.Bool("warmstart", false, "warm the chip once unmanaged, snapshot it, and fork every budget point from the snapshot (skips per-point warm-up; trajectories differ slightly from the default per-point managed warm-up)")
-	scalar := fs.Bool("scalar", false, "run every point as an independent full simulation instead of a shared-sampler farm (slower; identical CSV)")
 	farmSize := fs.Int("farm-size", 0, "max chips per farm sampler group; 0 = unlimited (one shared group per workload)")
 	resilient := fs.Bool("resilient", false, "route points through the crash-safe sweepd coordinator: workers checkpoint at interval boundaries and killed or panicked workers migrate their point to a survivor (identical CSV)")
 	killEvery := fs.Int("kill-every", 0, "inject a deterministic worker kill each time a point first completes an interval divisible by N (requires -resilient; 0 = off)")
@@ -88,9 +87,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	if !*resilient && (*killEvery > 0 || *ckptEvery > 0) {
 		return sweepOptions{}, fmt.Errorf("cpmsweep: -kill-every and -ckpt-every require -resilient")
 	}
-	if *resilient && *scalar {
-		return sweepOptions{}, fmt.Errorf("cpmsweep: -resilient and -scalar are mutually exclusive (the resilient route already runs independent points)")
-	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
 		return sweepOptions{}, err
@@ -114,7 +110,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 		Parallel:  true,
 		Check:     *checked,
 		WarmStart: *warmstart,
-		Scalar:    *scalar,
 		FarmSize:  *farmSize,
 		Resilient: *resilient,
 		KillEvery: *killEvery,
@@ -164,10 +159,6 @@ type sweepOptions struct {
 	// unmanaged, so the measured trajectories (and CSV) differ slightly
 	// from the default per-point managed warm-up.
 	WarmStart bool
-	// Scalar disables the farm route: every point simulates independently
-	// (the pre-farm behaviour). The CSV is identical either way; the farm
-	// shares one trace sampler across all points of a sweep.
-	Scalar bool
 	// FarmSize caps the chips per farm sampler group (0 = unlimited).
 	// Grouping changes scheduling only, never the CSV.
 	FarmSize int
@@ -200,7 +191,7 @@ type sweepRow struct {
 
 // sweep calibrates once, runs every point — the shared unmanaged baseline
 // plus a CPM and a MaxBIPS run per budget — through the farm route (or the
-// legacy scalar route under -scalar), and emits CSV in budget order.
+// resilient route under -resilient), and emits CSV in budget order.
 func sweep(o sweepOptions, out, logw io.Writer) error {
 	cfg := sim.DefaultConfig(o.Mix)
 	cfg.Seed = o.Seed
@@ -217,8 +208,6 @@ func sweep(o sweepOptions, out, logw io.Writer) error {
 	switch {
 	case o.Resilient:
 		rows, err = sweepResilient(cfg, cal, o, logw)
-	case o.Scalar:
-		rows, err = sweepScalar(cfg, cal, o, logw)
 	default:
 		rows, err = sweepFarm(cfg, cal, o, logw)
 	}
@@ -234,118 +223,22 @@ func sweep(o sweepOptions, out, logw io.Writer) error {
 	return nil
 }
 
-// sweepScalar is the legacy route: every point is an independent full
-// simulation (own sampling), parallelized over the pool.
-func sweepScalar(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]sweepRow, error) {
-	var warmManaged, warmBase []byte
-	var err error
-	if o.WarmStart {
-		// One warm chip per chip configuration: the unmanaged baseline
-		// runs at the top level (InitialLevel -1), the managed points at
-		// the default initial level. Every budget point forks from the
-		// matching snapshot instead of re-running its own warm-up.
-		if warmManaged, err = warmChipSnapshot(cfg, o.Warm); err != nil {
-			return nil, err
-		}
-		bcfg := cfg
-		bcfg.InitialLevel = -1
-		if warmBase, err = warmChipSnapshot(bcfg, o.Warm); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
-			o.Warm, len(o.Fracs))
-	}
-
-	base, err := measureUnmanaged(cfg, o.Warm, o.Epochs, o.Check, o.Metrics, warmBase)
-	if err != nil {
-		return nil, err
-	}
-	return sweepRows(cfg, cal, base, o, warmManaged)
-}
-
-// sweepRows measures every budget point on an engine.Pool, returning rows
-// in budget order regardless of worker count.
-func sweepRows(cfg sim.Config, cal core.Calibration, base engine.Summary, o sweepOptions, warmState []byte) ([]sweepRow, error) {
-	return engine.Map(engine.Pool{Workers: o.Workers}, len(o.Fracs), func(i int) (sweepRow, error) {
-		frac := o.Fracs[i]
-		budget := cal.BudgetW(frac)
-		// Policies can be stateful (e.g. variation-aware), so each job
-		// builds its own instance.
-		pol, err := makePolicy(o.Policy)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		ours, err := measureCPM(cfg, cal, budget, pol, o.Adaptive, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmState)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		mb, err := measureMaxBIPS(cfg, budget, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmState)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		return sweepRow{
-			frac: frac, budgetW: budget,
-			oursPowerW: ours.MeanPowerW, oursDegr: engine.Degradation(ours, base),
-			maxbipsPowerW: mb.MeanPowerW, maxbipsDegr: engine.Degradation(mb, base),
-		}, nil
-	})
-}
-
-// warmChipSnapshot steps a fresh unmanaged chip through the warm-up window
-// and returns its full-state snapshot, to be forked by every budget point.
-func warmChipSnapshot(cfg sim.Config, warmEpochs int) ([]byte, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < warmEpochs*20; k++ {
-		cmp.Step()
-	}
-	e := snapshot.NewEncoder()
-	if err := cmp.Snapshot(e); err != nil {
-		return nil, err
-	}
-	return e.Bytes(), nil
-}
-
-// forkWarmChip builds a fresh chip and, when a warm snapshot is given,
-// restores the shared warm state into it and zeroes the remaining warm-up.
-// The snapshot bytes are only read, so concurrent budget points can fork
-// from the same buffer.
-func forkWarmChip(cfg sim.Config, warmState []byte, warm int) (*sim.CMP, int, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if warmState == nil {
-		return cmp, warm, nil
-	}
-	if err := cmp.Restore(snapshot.NewDecoder(warmState)); err != nil {
-		return nil, 0, fmt.Errorf("cpmsweep: forking warm chip: %w", err)
-	}
-	return cmp, 0, nil
-}
-
-// buildUnmanaged constructs the baseline point's stack without running it,
-// so both the blocking route (measureUnmanaged) and the resilient
-// coordinator route drive identical sessions.
-func buildUnmanaged(cfg sim.Config, warm, epochs int, checked bool, reg *metrics.Registry, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cfg.InitialLevel = -1
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildUnmanaged wires the baseline point's stack onto cmp without running
+// it; warm is the warm-up still to simulate. The farm and resilient routes
+// both build every point through these three functions, so they drive
+// identical sessions.
+func buildUnmanaged(cmp *sim.CMP, o sweepOptions, warm int) (*engine.Session, *check.Suite, error) {
 	var obs []engine.Observer
 	var suite *check.Suite
-	if checked {
+	if o.Check {
 		suite = check.All(check.ForChip(cmp, 0))
 		obs = append(obs, suite)
 	}
-	if reg != nil {
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{Label: "unmanaged", Chip: cmp}))
+	if o.Metrics != nil {
+		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{Label: "unmanaged", Chip: cmp}))
 	}
 	s, err := engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, Label: "unmanaged",
+		WarmEpochs: warm, MeasureEpochs: o.Epochs, Label: "unmanaged",
 	}, obs...)
 	if err != nil {
 		return nil, nil, err
@@ -353,47 +246,37 @@ func buildUnmanaged(cfg sim.Config, warm, epochs int, checked bool, reg *metrics
 	return s, suite, nil
 }
 
-func measureUnmanaged(cfg sim.Config, warm, epochs int, checked bool, reg *metrics.Registry, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildUnmanaged(cfg, warm, epochs, checked, reg, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, err
-		}
-	}
-	return sum, nil
-}
-
-// buildCPM constructs one managed budget point's stack without running it.
-func buildCPM(cfg sim.Config, cal core.Calibration, budget float64, pol gpm.Policy, adaptive bool, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
+// buildCPM wires one managed budget point's stack onto cmp without running
+// it.
+func buildCPM(cmp *sim.CMP, o sweepOptions, cal core.Calibration, frac float64, warm int) (*engine.Session, *check.Suite, error) {
+	budget := cal.BudgetW(frac)
+	// Policies can be stateful (e.g. variation-aware), so each point builds
+	// its own instance.
+	pol, err := makePolicy(o.Policy)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := core.New(cmp, core.Config{BudgetW: budget, Policy: pol, Transducers: cal.Transducers, Adaptive: adaptiveConfig(adaptive, cal)})
+	c, err := core.New(cmp, core.Config{BudgetW: budget, Policy: pol, Transducers: cal.Transducers, Adaptive: adaptiveConfig(o.Adaptive, cal)})
 	if err != nil {
 		return nil, nil, err
 	}
 	var obs []engine.Observer
 	var suite *check.Suite
-	if checked {
+	if o.Check {
 		suite = check.ForCPM(c, budget)
 		obs = append(obs, suite)
 	}
-	if reg != nil {
+	if o.Metrics != nil {
 		pics := make([]*pic.Controller, cmp.NumIslands())
 		for i := range pics {
 			pics[i] = c.PIC(i)
 		}
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{
+		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
 			Label: fmt.Sprintf("cpm-%.2f", frac), Chip: cmp, PICs: pics,
 		}))
 	}
 	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, BudgetW: budget, Label: "cpm",
+		WarmEpochs: warm, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "cpm",
 	}, obs...)
 	if err != nil {
 		return nil, nil, err
@@ -401,26 +284,9 @@ func buildCPM(cfg sim.Config, cal core.Calibration, budget float64, pol gpm.Poli
 	return s, suite, nil
 }
 
-func measureCPM(cfg sim.Config, cal core.Calibration, budget float64, pol gpm.Policy, adaptive bool, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildCPM(cfg, cal, budget, pol, adaptive, warm, epochs, checked, reg, frac, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("budget %.2f W: %w", budget, err)
-		}
-	}
-	return sum, nil
-}
-
-// buildMaxBIPS constructs one MaxBIPS budget point's stack without running it.
-func buildMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
-	if err != nil {
-		return nil, nil, err
-	}
+// buildMaxBIPS wires one MaxBIPS budget point's stack onto cmp without
+// running it.
+func buildMaxBIPS(cmp *sim.CMP, o sweepOptions, budget, frac float64, warm int) (*engine.Session, *check.Suite, error) {
 	planner, err := engine.NewStaticPlanner(cmp)
 	if err != nil {
 		return nil, nil, err
@@ -431,7 +297,7 @@ func buildMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool
 	}
 	var obs []engine.Observer
 	var suite *check.Suite
-	if checked {
+	if o.Check {
 		// Open-loop MaxBIPS overshoots realized power by design; widen the
 		// budget tolerance to the paper's reported ~20% worst case.
 		ccfg := check.ForChip(cmp, budget)
@@ -440,32 +306,18 @@ func buildMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool
 		suite = check.All(ccfg)
 		obs = append(obs, suite)
 	}
-	if reg != nil {
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{
+	if o.Metrics != nil {
+		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
 			Label: fmt.Sprintf("maxbips-%.2f", frac), Chip: cmp,
 		}))
 	}
 	s, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, BudgetW: budget, Label: "maxbips",
+		WarmEpochs: warm, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "maxbips",
 	}, obs...)
 	if err != nil {
 		return nil, nil, err
 	}
 	return s, suite, nil
-}
-
-func measureMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildMaxBIPS(cfg, budget, warm, epochs, checked, reg, frac, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("maxbips budget %.2f W: %w", budget, err)
-		}
-	}
-	return sum, nil
 }
 
 // adaptiveConfig builds the per-run adaptive-gain configuration for

@@ -8,6 +8,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/sweepd"
 )
 
@@ -16,8 +17,8 @@ import (
 // other routes — becomes a sweepd point driven by the coordinator. Workers
 // checkpoint at interval boundaries; a killed (or panicked) worker's point
 // migrates to a survivor and resumes from its latest checkpoint, and the
-// CSV stays byte-identical to the scalar and farm routes at any worker
-// count and under any kill schedule.
+// CSV stays byte-identical to the farm route at any worker count and under
+// any kill schedule.
 //
 // Under -warmstart the warm chip snapshots become the roots of the
 // checkpoint lineage tree: every budget point forks from a root, and its
@@ -28,12 +29,12 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 	var err error
 	tree := sweepd.NewTree()
 	rootManaged, rootBase := -1, -1
+	bcfg := cfg
+	bcfg.InitialLevel = -1
 	if o.WarmStart {
 		if warmManaged, err = warmChipSnapshot(cfg, o.Warm); err != nil {
 			return nil, err
 		}
-		bcfg := cfg
-		bcfg.InitialLevel = -1
 		if warmBase, err = warmChipSnapshot(bcfg, o.Warm); err != nil {
 			return nil, err
 		}
@@ -54,51 +55,43 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 	pts := make([]sweepd.Point, nPts)
 	base := make([]int, nPts)
 	suites := make([]*check.Suite, nPts) // final incarnation per point
-	wrap := func(i int, sess *engine.Session, suite *check.Suite) *sweepd.Instance {
-		suites[i] = suite
-		inst := &sweepd.Instance{Session: sess}
-		if suite != nil {
-			inst.Check = suite.Err
-		}
-		return inst
+	// point builds one incarnation of point i: a fresh chip (forked from
+	// the warm snapshot when there is one) carrying the point's stack.
+	point := func(i int, name string, cfg sim.Config, warmState []byte,
+		fn func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error)) sweepd.Point {
+		return sweepd.Point{Name: name, Build: func() (*sweepd.Instance, error) {
+			cmp, warm, err := forkWarmChip(cfg, warmState, o.Warm)
+			if err != nil {
+				return nil, err
+			}
+			sess, suite, err := fn(cmp, warm)
+			if err != nil {
+				return nil, err
+			}
+			suites[i] = suite
+			inst := &sweepd.Instance{Session: sess}
+			if suite != nil {
+				inst.Check = suite.Err
+			}
+			return inst, nil
+		}}
 	}
-	pts[0] = sweepd.Point{Name: "unmanaged", Build: func() (*sweepd.Instance, error) {
-		sess, suite, err := buildUnmanaged(cfg, o.Warm, o.Epochs, o.Check, o.Metrics, warmBase)
-		if err != nil {
-			return nil, err
-		}
-		return wrap(0, sess, suite), nil
-	}}
+	pts[0] = point(0, "unmanaged", bcfg, warmBase, func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
+		return buildUnmanaged(cmp, o, warm)
+	})
 	base[0] = rootBase
 	for pi, frac := range o.Fracs {
 		pi, frac := pi, frac
 		budget := cal.BudgetW(frac)
 		idxCPM, idxMB := 1+2*pi, 2+2*pi
-		pts[idxCPM] = sweepd.Point{
-			Name: fmt.Sprintf("cpm-%d-%.2f", pi, frac),
-			Build: func() (*sweepd.Instance, error) {
-				// Policies can be stateful, so each incarnation builds its own.
-				pol, err := makePolicy(o.Policy)
-				if err != nil {
-					return nil, err
-				}
-				sess, suite, err := buildCPM(cfg, cal, budget, pol, o.Adaptive, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmManaged)
-				if err != nil {
-					return nil, err
-				}
-				return wrap(idxCPM, sess, suite), nil
-			},
-		}
-		pts[idxMB] = sweepd.Point{
-			Name: fmt.Sprintf("maxbips-%d-%.2f", pi, frac),
-			Build: func() (*sweepd.Instance, error) {
-				sess, suite, err := buildMaxBIPS(cfg, budget, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmManaged)
-				if err != nil {
-					return nil, err
-				}
-				return wrap(idxMB, sess, suite), nil
-			},
-		}
+		pts[idxCPM] = point(idxCPM, fmt.Sprintf("cpm-%d-%.2f", pi, frac), cfg, warmManaged,
+			func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
+				return buildCPM(cmp, o, cal, frac, warm)
+			})
+		pts[idxMB] = point(idxMB, fmt.Sprintf("maxbips-%d-%.2f", pi, frac), cfg, warmManaged,
+			func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
+				return buildMaxBIPS(cmp, o, budget, frac, warm)
+			})
 		base[idxCPM], base[idxMB] = rootManaged, rootManaged
 	}
 
@@ -123,7 +116,7 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 	}
 	// The coordinator's boundary checks catch mid-run violations; this
 	// final pass covers the tail intervals after the last boundary check,
-	// with the same wrapping as the scalar route.
+	// with the same wrapping as the farm route.
 	for pi, frac := range o.Fracs {
 		budget := cal.BudgetW(frac)
 		if s := suites[1+2*pi]; s != nil {
@@ -154,4 +147,39 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 		}
 	}
 	return rows, nil
+}
+
+// warmChipSnapshot steps a fresh unmanaged chip through the warm-up window
+// and returns its full-state snapshot, to be forked by every budget point.
+func warmChipSnapshot(cfg sim.Config, warmEpochs int) ([]byte, error) {
+	cmp, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; k < warmEpochs*20; k++ {
+		cmp.Step()
+	}
+	e := snapshot.NewEncoder()
+	if err := cmp.Snapshot(e); err != nil {
+		return nil, err
+	}
+	return e.Bytes(), nil
+}
+
+// forkWarmChip builds a fresh chip and, when a warm snapshot is given,
+// restores the shared warm state into it and zeroes the remaining warm-up.
+// The snapshot bytes are only read, so concurrent points can fork from the
+// same buffer.
+func forkWarmChip(cfg sim.Config, warmState []byte, warm int) (*sim.CMP, int, error) {
+	cmp, err := sim.New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	if warmState == nil {
+		return cmp, warm, nil
+	}
+	if err := cmp.Restore(snapshot.NewDecoder(warmState)); err != nil {
+		return nil, 0, fmt.Errorf("cpmsweep: forking warm chip: %w", err)
+	}
+	return cmp, 0, nil
 }

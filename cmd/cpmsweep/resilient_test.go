@@ -59,34 +59,17 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 
 // TestResilientWarmstartMatchesScalar pins the snapshot-tree fork path:
 // warm-started resilient sweeps (budget points forked from warm chip
-// snapshots recorded as tree roots) must match the scalar warm-started CSV
-// even while workers are being killed.
+// snapshots recorded as tree roots) must print the pinned warm-started CSV,
+// with and without workers being killed.
 func TestResilientWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-started resilient sweep in -short mode")
 	}
-	o := testOptions(1)
-	o.Fracs = []float64{0.7, 0.9}
-	o.WarmStart = true
-	o.Check = true
-
-	so := o
-	so.Scalar = true
-	want := runSweep(t, so)
-
-	ro := o
-	ro.Resilient = true
-	ro.KillEvery = 3
-	ro.CkptEvery = 5
-	ro.Workers = 4
-	var out, log bytes.Buffer
-	if err := sweep(ro, &out, &log); err != nil {
-		t.Fatalf("warm-started resilient sweep: %v\nlog:\n%s", err, log.String())
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("warm-started resilient CSV differs from scalar:\n--- scalar ---\n%s--- resilient ---\n%s",
-			want, out.Bytes())
-	}
+	checkPinnedRoutes(t, pinnedWarmstartCSV, [][]string{
+		{"-warmstart", "-resilient", "-workers", "4"},
+		{"-warmstart", "-resilient", "-workers", "4", "-kill-every", "3", "-ckpt-every", "5"},
+		{"-warmstart", "-resilient", "-workers", "1", "-kill-every", "7"},
+	})
 }
 
 func TestParseSweepCLIResilient(t *testing.T) {
@@ -106,7 +89,9 @@ func TestParseSweepCLIResilient(t *testing.T) {
 		{"ckpt without resilient", []string{"-ckpt-every", "5"}, "require -resilient"},
 		{"negative kill", []string{"-resilient", "-kill-every", "-1"}, "-kill-every must be >= 0"},
 		{"negative ckpt", []string{"-resilient", "-ckpt-every", "-1"}, "-ckpt-every must be >= 0"},
-		{"resilient with scalar", []string{"-resilient", "-scalar"}, "mutually exclusive"},
+		// The independent-simulation route is gone; every route is a
+		// farm or resilient one.
+		{"resilient with scalar", []string{"-resilient", "-scalar"}, "flag provided but not defined: -scalar"},
 	}
 	for _, c := range rejects {
 		t.Run(c.name, func(t *testing.T) {

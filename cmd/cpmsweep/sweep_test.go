@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestParseSweepCLIValid(t *testing.T) {
 // TestSweepAdaptiveAndPredictiveRoutes pins the new control configurations
 // through both sweep routes: for each of (-adaptive fixed-policy, -policy
 // mpc, -policy cache) the farm route must emit byte-identical CSV to the
-// scalar route, under the invariant suite.
+// resilient route, under the invariant suite.
 func TestSweepAdaptiveAndPredictiveRoutes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive/predictive sweeps in -short mode")
@@ -119,28 +120,19 @@ func TestSweepAdaptiveAndPredictiveRoutes(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			opts := func(scalar bool) sweepOptions {
+			opts := func(resilient bool) sweepOptions {
 				o := testOptions(2)
 				o.Fracs = []float64{0.8}
 				o.Policy = c.policy
 				o.Adaptive = c.adaptive
 				o.Check = true
-				o.Scalar = scalar
+				o.Resilient = resilient
 				return o
 			}
-			var scalar, farmed bytes.Buffer
-			if err := sweep(opts(true), &scalar, io.Discard); err != nil {
-				t.Fatalf("scalar route: %v", err)
-			}
-			if err := sweep(opts(false), &farmed, io.Discard); err != nil {
-				t.Fatalf("farm route: %v", err)
-			}
-			if !bytes.Equal(scalar.Bytes(), farmed.Bytes()) {
-				t.Fatalf("farm route differs from scalar:\n--- scalar ---\n%s--- farm ---\n%s",
-					scalar.String(), farmed.String())
-			}
-			if scalar.Len() == 0 {
-				t.Fatal("empty sweep output")
+			farmed := runSweep(t, opts(false))
+			if resilient := runSweep(t, opts(true)); !bytes.Equal(resilient, farmed) {
+				t.Fatalf("farm route differs from resilient:\n--- farm ---\n%s--- resilient ---\n%s",
+					farmed, resilient)
 			}
 		})
 	}
@@ -229,21 +221,17 @@ func TestMakePolicyNames(t *testing.T) {
 	}
 }
 
-// BenchmarkPoolSweep compares a serial 8-point sweep against the pooled
-// executor. Calibration and the unmanaged baseline are shared setup; the
-// benchmark isolates the per-budget-point fan-out. Island-level parallelism
-// is disabled so the two concurrency levels don't compete for cores.
+// BenchmarkPoolSweep compares a serial 8-point farm sweep against the
+// pooled executor, one sampler group per point so the pool has groups to
+// spread. Calibration is shared setup; island-level parallelism is disabled
+// so the two concurrency levels don't compete for cores.
 func BenchmarkPoolSweep(b *testing.B) {
 	o := testOptions(1)
 	o.Parallel = false
+	o.FarmSize = 1
 	cfg := sim.DefaultConfig(o.Mix)
 	cfg.Seed = o.Seed
-	cfg.Parallel = o.Parallel
 	cal, err := core.Calibrate(cfg, 60, 240)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := measureUnmanaged(cfg, o.Warm, o.Epochs, false, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +241,7 @@ func BenchmarkPoolSweep(b *testing.B) {
 		o.Workers = workers
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sweepRows(cfg, cal, base, o, nil); err != nil {
+			if _, err := sweepFarm(cfg, cal, o, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -275,53 +263,69 @@ func runSweep(t *testing.T, o sweepOptions) []byte {
 	return out.Bytes()
 }
 
-// TestSweepFarmMatchesScalar is the sweep-level equivalence contract: the
-// farm route (one shared sampler across every point) must produce CSV
-// byte-identical to the legacy scalar route, at several farm sizes, with
-// the invariant suite attached to every point.
-func TestSweepFarmMatchesScalar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("farm-vs-scalar sweep in -short mode")
+// The pinned sweeps are the CSVs of
+//
+//	cpmsweep -budgets 0.6,0.8,0.95 -warm 2 -epochs 3 -check [-warmstart]
+//
+// captured when an independent-simulation (scalar) route still existed
+// next to the farm and resilient routes; all three printed these bytes.
+// Every remaining route must keep printing them.
+const (
+	pinnedColdCSV      = "testdata/sweep_cold.csv"
+	pinnedWarmstartCSV = "testdata/sweep_warmstart.csv"
+)
+
+var pinnedArgs = []string{"-budgets", "0.6,0.8,0.95", "-warm", "2", "-epochs", "3", "-check"}
+
+// checkPinnedRoutes runs the pinned sweep once per route (extra flags
+// appended to pinnedArgs) and demands the pinned CSV bytes from each.
+func checkPinnedRoutes(t *testing.T, pinned string, routes [][]string) {
+	t.Helper()
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatal(err)
 	}
-	o := testOptions(1)
-	o.Fracs = []float64{0.7, 0.8, 0.9}
-	o.Check = true
-
-	so := o
-	so.Scalar = true
-	scalar := runSweep(t, so)
-
-	for _, size := range []int{0, 1, 3} {
-		fo := o
-		fo.FarmSize = size
-		fo.Workers = 2
-		if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-			t.Errorf("farm-size=%d CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
-				size, scalar, got)
+	for _, route := range routes {
+		o, err := parseSweepCLI(append(append([]string(nil), pinnedArgs...), route...), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runSweep(t, o); !bytes.Equal(got, want) {
+			t.Errorf("route %v differs from %s:\n--- pinned ---\n%s--- got ---\n%s", route, pinned, want, got)
 		}
 	}
 }
 
+// farmRoutes are the farm route's scheduling variants: pool size and
+// sampler-group cap change wall-clock only, never the CSV.
+func farmRoutes(extra ...string) [][]string {
+	var out [][]string
+	for _, workers := range []string{"1", "4"} {
+		for _, size := range []string{"1", "2"} {
+			out = append(out, append([]string{"-workers", workers, "-farm-size", size}, extra...))
+		}
+	}
+	return out
+}
+
+// TestSweepFarmMatchesScalar is the sweep-level equivalence contract for
+// cold sweeps: the farm route at several pool and group sizes, and the
+// resilient route with and without injected kills, all print the pinned
+// CSV, with the invariant suite attached to every point.
+func TestSweepFarmMatchesScalar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pinned cold sweeps in -short mode")
+	}
+	checkPinnedRoutes(t, pinnedColdCSV, append(farmRoutes(),
+		[]string{"-resilient"}, []string{"-resilient", "-kill-every", "7"}))
+}
+
 // TestSweepFarmWarmstartMatchesScalar pins the warm-started farm route:
-// thin warm templates over a shared sampler must fork into the same
-// trajectories as the scalar route's live warm chips.
+// thin warm templates over a shared sampler fork into the pinned
+// trajectories at every pool and group size.
 func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm-started farm sweep in -short mode")
+		t.Skip("pinned warm-started farm sweeps in -short mode")
 	}
-	o := testOptions(1)
-	o.Fracs = []float64{0.7, 0.9}
-	o.WarmStart = true
-	o.Check = true
-
-	so := o
-	so.Scalar = true
-	scalar := runSweep(t, so)
-
-	fo := o
-	fo.Workers = 4
-	if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-		t.Errorf("warm-started farm CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
-			scalar, got)
-	}
+	checkPinnedRoutes(t, pinnedWarmstartCSV, farmRoutes("-warmstart"))
 }

@@ -211,11 +211,9 @@ func (s *Suite) Report() string {
 // Config parameterizes the standard suite. ForChip fills it from a live
 // simulator instance; zero fields disable the checks that need them.
 type Config struct {
-	// Table is the DVFS table every actuated operating point must belong
-	// to; nil disables DVFSLegality.
-	Table *power.DVFSTable
-	// Tables are per-island DVFS tables for heterogeneous chips; when set
-	// they override Table and island i is judged against Tables[i].
+	// Tables are the per-island DVFS tables: island i's actuated operating
+	// points must belong to Tables[i] (a homogeneous chip repeats one
+	// table). Nil disables DVFSLegality.
 	Tables []*power.DVFSTable
 	// BudgetW is the chip power budget; 0 disables BudgetConservation.
 	BudgetW float64
@@ -284,8 +282,6 @@ func All(cfg Config) *Suite {
 	}
 	if cfg.Tables != nil {
 		s.Add(NewDVFSLegalityPerIsland(cfg.Tables))
-	} else if cfg.Table != nil {
-		s.Add(NewDVFSLegality(cfg.Table))
 	}
 	if cfg.MaxCorePowerW > 0 {
 		s.Add(NewThermalEnvelope(cfg.Thermal, cfg.MaxCorePowerW))

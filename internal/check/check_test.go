@@ -36,6 +36,12 @@ func step(idx int) engine.Step {
 	}
 }
 
+// pentiumIslands is the per-island table set of the two-island step
+// fixture: both islands on the Table I Pentium M table.
+func pentiumIslands() []*power.DVFSTable {
+	return []*power.DVFSTable{power.PentiumM(), power.PentiumM()}
+}
+
 func runInfo() engine.RunInfo {
 	return engine.RunInfo{Islands: 2, Cores: 4, Period: 20, MeasureIntervals: 40, IntervalSec: 0.002}
 }
@@ -98,7 +104,7 @@ func TestAllGatesOnConfig(t *testing.T) {
 	if !minimal["accounting"] || !minimal["determinism"] {
 		t.Errorf("zero config missing unconditional checks: %v", minimal)
 	}
-	full := names(All(Config{Table: power.PentiumM(), BudgetW: 50, MaxCorePowerW: 12, Thermal: thermal.DefaultConfig()}))
+	full := names(All(Config{Tables: pentiumIslands(), BudgetW: 50, MaxCorePowerW: 12, Thermal: thermal.DefaultConfig()}))
 	for _, n := range []string{"budget-conservation", "dvfs-legality", "thermal-envelope", "accounting", "determinism"} {
 		if !full[n] {
 			t.Errorf("full config missing %s: %v", n, full)
@@ -153,7 +159,7 @@ func TestBudgetConservation(t *testing.T) {
 }
 
 func TestDVFSLegality(t *testing.T) {
-	c := NewDVFSLegality(power.PentiumM())
+	c := NewDVFSLegalityPerIsland(pentiumIslands())
 	c.RunStart(runInfo())
 	c.ObserveStep(step(0))
 	if len(c.Violations()) != 0 {
@@ -179,7 +185,7 @@ func TestDVFSLegality(t *testing.T) {
 	n = len(c.Violations())
 
 	// Frequency change without the transition flag.
-	c2 := NewDVFSLegality(power.PentiumM())
+	c2 := NewDVFSLegalityPerIsland(pentiumIslands())
 	c2.RunStart(runInfo())
 	c2.ObserveStep(step(0))
 	moved := step(1)
@@ -198,7 +204,7 @@ func TestDVFSLegality(t *testing.T) {
 	}
 
 	// Same change with the flag set is legal.
-	c3 := NewDVFSLegality(power.PentiumM())
+	c3 := NewDVFSLegalityPerIsland(pentiumIslands())
 	c3.RunStart(runInfo())
 	c3.ObserveStep(step(0))
 	moved.Sim.Islands[0].Transitioned = true

@@ -113,30 +113,16 @@ func (c *BudgetConservation) RunEnd(*engine.Summary) {}
 // with the simulator.
 type DVFSLegality struct {
 	recorder
-	table    *power.DVFSTable   // shared table (legacy homogeneous chips)
-	tables   []*power.DVFSTable // per-island tables; overrides table when set
+	tables   []*power.DVFSTable // island i is judged against tables[i]
 	prevFreq []float64
 	havePrev bool
 }
 
-// NewDVFSLegality builds the check against the chip's shared table.
-func NewDVFSLegality(table *power.DVFSTable) *DVFSLegality {
-	return &DVFSLegality{recorder: recorder{name: "dvfs-legality"}, table: table}
-}
-
-// NewDVFSLegalityPerIsland builds the check for a chip whose islands run
-// their own tables: island i's operating points are judged against
-// tables[i].
+// NewDVFSLegalityPerIsland builds the check for a chip's islands: island
+// i's operating points are judged against tables[i] (a homogeneous chip
+// passes the same table for every island).
 func NewDVFSLegalityPerIsland(tables []*power.DVFSTable) *DVFSLegality {
 	return &DVFSLegality{recorder: recorder{name: "dvfs-legality"}, tables: tables}
-}
-
-// tbl returns the table island i's operating points must belong to.
-func (c *DVFSLegality) tbl(i int) *power.DVFSTable {
-	if c.tables != nil && i < len(c.tables) {
-		return c.tables[i]
-	}
-	return c.table
 }
 
 // RunStart implements engine.Observer.
@@ -148,7 +134,7 @@ func (c *DVFSLegality) RunStart(info engine.RunInfo) {
 // ObserveStep implements engine.Observer.
 func (c *DVFSLegality) ObserveStep(st engine.Step) {
 	for i, ir := range st.Sim.Islands {
-		tbl := c.tbl(i)
+		tbl := c.tables[i]
 		lvl, ok := tbl.LevelOf(ir.FreqMHz)
 		if !ok {
 			c.report(Violation{

@@ -6,6 +6,7 @@ import (
 
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/maxbips"
+	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -198,7 +199,11 @@ func TestSessionMaxBIPSMatchesBespokeLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := maxbips.New(cmp.Table())
+		tables := make([]*power.DVFSTable, cmp.NumIslands())
+		for i := range tables {
+			tables[i] = cmp.Table()
+		}
+		pl, err := maxbips.NewPerIsland(tables)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,9 +40,8 @@ type IslandObs struct {
 
 // Planner chooses DVFS level combinations.
 type Planner struct {
-	// shared is the chip-global table in legacy mode (every island planned
-	// on the same axis); tables carries one table per island otherwise.
-	shared *power.DVFSTable
+	// tables carries one DVFS table per island (a homogeneous chip repeats
+	// one table).
 	tables []*power.DVFSTable
 	static [][]float64
 	// ExhaustiveLimit is the largest island count planned exhaustively;
@@ -52,19 +51,10 @@ type Planner struct {
 	PowerQuantum float64
 }
 
-// New builds a planner over a chip-global DVFS table, applied to every
-// island — the legacy homogeneous mode.
-func New(table *power.DVFSTable) (*Planner, error) {
-	if table == nil {
-		return nil, errors.New("maxbips: nil DVFS table")
-	}
-	return &Planner{shared: table, ExhaustiveLimit: 6, PowerQuantum: 0.25}, nil
-}
-
 // NewPerIsland builds a planner over per-island DVFS tables (one per
-// island, in island order) so heterogeneous chips are planned on each
-// island's own operating points. Observations passed to Choose must cover
-// exactly these islands.
+// island, in island order), so every island is planned on its own
+// operating points; a homogeneous chip passes the same table for every
+// island. Observations passed to Choose must cover exactly these islands.
 func NewPerIsland(tables []*power.DVFSTable) (*Planner, error) {
 	if len(tables) == 0 {
 		return nil, errors.New("maxbips: no island tables")
@@ -77,23 +67,6 @@ func NewPerIsland(tables []*power.DVFSTable) (*Planner, error) {
 	return &Planner{tables: tables, ExhaustiveLimit: 6, PowerQuantum: 0.25}, nil
 }
 
-// tbl returns island i's planning table.
-func (p *Planner) tbl(i int) *power.DVFSTable {
-	if p.shared != nil {
-		return p.shared
-	}
-	return p.tables[i]
-}
-
-// islands returns the island count the planner is sized for, or -1 in
-// chip-global mode (any count).
-func (p *Planner) islands() int {
-	if p.shared != nil {
-		return -1
-	}
-	return len(p.tables)
-}
-
 // predict fills per-island predicted power and BIPS for every level,
 // scaling the observed operating point by the static table: BIPS ∝ f,
 // P ∝ V²f (both normalized to the observed level).
@@ -101,7 +74,7 @@ func (p *Planner) predict(obs []IslandObs) (pw, bips [][]float64) {
 	pw = make([][]float64, len(obs))
 	bips = make([][]float64, len(obs))
 	for i, o := range obs {
-		t := p.tbl(i)
+		t := p.tables[i]
 		l := t.Levels()
 		pw[i] = make([]float64, l)
 		bips[i] = make([]float64, l)
@@ -124,11 +97,11 @@ func (p *Planner) Choose(budgetW float64, obs []IslandObs) []int {
 	if len(obs) == 0 {
 		return nil
 	}
-	if n := p.islands(); n >= 0 && len(obs) != n {
-		panic(fmt.Sprintf("maxbips: %d observations for a planner over %d island tables", len(obs), n))
+	if len(obs) != len(p.tables) {
+		panic(fmt.Sprintf("maxbips: %d observations for a planner over %d island tables", len(obs), len(p.tables)))
 	}
 	if p.static != nil {
-		return p.chooseStaticUniform(budgetW, len(obs))
+		return p.chooseStaticUniform(budgetW)
 	}
 	pw, bips := p.predict(obs)
 	if len(obs) <= p.ExhaustiveLimit {
@@ -281,12 +254,12 @@ func (p *Planner) SetStaticTable(table [][]float64) error {
 	if len(table) == 0 {
 		return errors.New("maxbips: empty static table")
 	}
-	if n := p.islands(); n >= 0 && len(table) != n {
-		return fmt.Errorf("maxbips: static table covers %d islands, planner has %d", len(table), n)
+	if len(table) != len(p.tables) {
+		return fmt.Errorf("maxbips: static table covers %d islands, planner has %d", len(table), len(p.tables))
 	}
 	for i, row := range table {
-		if len(row) != p.tblForRow(i).Levels() {
-			return fmt.Errorf("maxbips: island %d has %d levels, want %d", i, len(row), p.tblForRow(i).Levels())
+		if len(row) != p.tables[i].Levels() {
+			return fmt.Errorf("maxbips: island %d has %d levels, want %d", i, len(row), p.tables[i].Levels())
 		}
 	}
 	p.static = table
@@ -296,55 +269,29 @@ func (p *Planner) SetStaticTable(table [][]float64) error {
 // Static reports whether a static table is installed.
 func (p *Planner) Static() bool { return p.static != nil }
 
-// tblForRow returns the table governing static-table row i; chip-global
-// planners use the shared table for every row.
-func (p *Planner) tblForRow(i int) *power.DVFSTable {
-	if p.shared != nil {
-		return p.shared
-	}
-	if i >= len(p.tables) {
-		i = len(p.tables) - 1
-	}
-	return p.tables[i]
-}
-
 // chooseStaticUniform picks the highest uniform level fitting the budget.
 // On a heterogeneous chip "uniform" means the same level index with each
 // island clamped to its own table: shorter tables saturate at their top
 // while longer ones keep climbing.
-func (p *Planner) chooseStaticUniform(budgetW float64, n int) []int {
-	out := make([]int, n)
-	if n > len(p.static) {
-		n = len(p.static)
-	}
+func (p *Planner) chooseStaticUniform(budgetW float64) []int {
 	maxLevels := 0
-	for i := 0; i < n; i++ {
-		if l := len(p.static[i]); l > maxLevels {
-			maxLevels = l
-		}
+	for _, row := range p.static {
+		maxLevels = max(maxLevels, len(row))
 	}
 	best := 0
 	for lvl := maxLevels - 1; lvl >= 0; lvl-- {
 		total := 0.0
-		for i := 0; i < n; i++ {
-			row := p.static[i]
-			li := lvl
-			if li >= len(row) {
-				li = len(row) - 1
-			}
-			total += row[li]
+		for _, row := range p.static {
+			total += row[min(lvl, len(row)-1)]
 		}
 		if total <= budgetW {
 			best = lvl
 			break
 		}
 	}
-	for i := range out {
-		li := best
-		if i < len(p.static) && li >= len(p.static[i]) {
-			li = len(p.static[i]) - 1
-		}
-		out[i] = li
+	out := make([]int, len(p.static))
+	for i, row := range p.static {
+		out[i] = min(best, len(row)-1)
 	}
 	return out
 }

@@ -10,9 +10,18 @@ import (
 	"github.com/cpm-sim/cpm/internal/stats"
 )
 
-func newPlanner(t *testing.T) *Planner {
+// pentiumTables gives n islands the Table I Pentium M table.
+func pentiumTables(n int) []*power.DVFSTable {
+	out := make([]*power.DVFSTable, n)
+	for i := range out {
+		out[i] = power.PentiumM()
+	}
+	return out
+}
+
+func newPlanner(t *testing.T, islands int) *Planner {
 	t.Helper()
-	p, err := New(power.PentiumM())
+	p, err := NewPerIsland(pentiumTables(islands))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +40,16 @@ func predictedTotals(p *Planner, obs []IslandObs, levels []int) (pw, bips float6
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := NewPerIsland(nil); err == nil {
+		t.Error("no tables should be rejected")
+	}
+	if _, err := NewPerIsland([]*power.DVFSTable{power.PentiumM(), nil}); err == nil {
 		t.Error("nil table should be rejected")
 	}
 }
 
 func TestPredictionScaling(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 1)
 	obs := []IslandObs{{Level: 7, PowerW: 20, BIPS: 4}}
 	pw, bips := p.predict(obs)
 	// At the observed level the prediction equals the observation.
@@ -57,7 +69,7 @@ func TestPredictionScaling(t *testing.T) {
 }
 
 func TestChooseRespectsBudget(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 4)
 	obs := []IslandObs{
 		{Level: 7, PowerW: 20, BIPS: 4},
 		{Level: 7, PowerW: 22, BIPS: 2},
@@ -74,7 +86,7 @@ func TestChooseRespectsBudget(t *testing.T) {
 }
 
 func TestChooseMaximizesAtGenerousBudget(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 2)
 	obs := []IslandObs{
 		{Level: 7, PowerW: 20, BIPS: 4},
 		{Level: 7, PowerW: 20, BIPS: 2},
@@ -88,7 +100,7 @@ func TestChooseMaximizesAtGenerousBudget(t *testing.T) {
 }
 
 func TestChooseInfeasibleBudget(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 1)
 	obs := []IslandObs{{Level: 7, PowerW: 20, BIPS: 4}}
 	levels := p.Choose(0.01, obs)
 	if levels[0] != 0 {
@@ -103,7 +115,7 @@ func TestChooseInfeasibleBudget(t *testing.T) {
 // chosen combination's predicted power sits strictly below a budget that
 // falls between achievable combinations.
 func TestUnderConsumesBetweenKnobs(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 2)
 	obs := []IslandObs{
 		{Level: 7, PowerW: 20, BIPS: 4},
 		{Level: 7, PowerW: 20, BIPS: 4},
@@ -124,7 +136,7 @@ func TestUnderConsumesBetweenKnobs(t *testing.T) {
 func TestDPMatchesExhaustiveProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRand(seed)
-		p, err := New(power.PentiumM())
+		p, err := NewPerIsland(pentiumTables(4))
 		if err != nil {
 			return false
 		}
@@ -180,7 +192,7 @@ func TestDPMatchesExhaustiveProperty(t *testing.T) {
 }
 
 func TestLargeConfigurationUsesDPAndIsFast(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 16)
 	obs := make([]IslandObs, 16) // 8^16 exhaustive would be impossible
 	for i := range obs {
 		obs[i] = IslandObs{Level: 7, PowerW: 20, BIPS: 3}
@@ -214,11 +226,14 @@ func staticTable4(levels int) [][]float64 {
 }
 
 func TestSetStaticTableValidation(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 4)
 	if err := p.SetStaticTable(nil); err == nil {
 		t.Error("empty table should be rejected")
 	}
-	if err := p.SetStaticTable([][]float64{{1, 2}}); err == nil {
+	if err := p.SetStaticTable(staticTable4(8)[:1]); err == nil {
+		t.Error("wrong island count should be rejected")
+	}
+	if err := p.SetStaticTable(staticTable4(2)); err == nil {
 		t.Error("wrong level arity should be rejected")
 	}
 	if p.Static() {
@@ -233,7 +248,7 @@ func TestSetStaticTableValidation(t *testing.T) {
 }
 
 func TestStaticChoosesHighestFeasibleUniformLevel(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 4)
 	if err := p.SetStaticTable(staticTable4(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +277,7 @@ func TestStaticChoosesHighestFeasibleUniformLevel(t *testing.T) {
 // The static mode is workload-blind: wildly different observations change
 // nothing.
 func TestStaticModeIgnoresObservations(t *testing.T) {
-	p := newPlanner(t)
+	p := newPlanner(t, 4)
 	if err := p.SetStaticTable(staticTable4(8)); err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@ import (
 // scenarios sharing the Mix1/seed-1 workload key must come back as one
 // farm group (one shared trace sampler), the rest — thermal-policy,
 // big.LITTLE and tech-scaled chips, each alone on its workload key — as
-// scalar runs; and every response must still reproduce its pinned golden
+// groups of one; and every response must still reproduce its pinned golden
 // digests exactly: the batched path is invisible in the bytes.
 func TestBatchAdmissionGoldenEquivalence(t *testing.T) {
 	// Derive the expected batching from the canonical set's own key
 	// structure: exactly one key (the legacy Mix1 chip) holds a batchable
-	// majority, every other key is a singleton and runs scalar. Fail
+	// majority, every other key is a singleton and runs alone. Fail
 	// loudly if that shape ever changes.
 	byKey := map[farm.WorkloadKey]int{}
 	for _, sc := range check.Canonical() {
@@ -104,8 +104,8 @@ func TestBatchAdmissionGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchDisabled: BatchMax 1 must route every job scalar even when the
-// queue is full of compatible work.
+// TestBatchDisabled: BatchMax 1 must run every job in a group of its own
+// even when the queue is full of compatible work.
 func TestBatchDisabled(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan Request, 16)

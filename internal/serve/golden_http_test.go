@@ -8,7 +8,7 @@ import (
 
 // TestGoldenOverHTTP is the service's equivalence contract: every canonical
 // scenario served over HTTP — as a single report and as an NDJSON stream —
-// must reproduce the exact pinned golden digests the scalar in-process path
+// must reproduce the exact pinned golden digests the in-process path
 // records. A server that perturbs the simulation (shared state, observer
 // interference, request mangling) diverges here.
 func TestGoldenOverHTTP(t *testing.T) {

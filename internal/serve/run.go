@@ -45,20 +45,11 @@ func finalize(j *job, sum engine.Summary, suite *check.Suite, obs runObservers) 
 	return buildResult(j.req, sum, obs.rec, obs.golden.Trace())
 }
 
-// executeScalar runs one job as a plain single-chip session.
-func (s *Server) executeScalar(j *job) (*result, error) {
-	obs := s.observersFor(j.req)
-	sess, suite, err := j.sc.Build(j.req.Seed, obs.all...)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building %s seed %d: %w", j.req.Scenario, j.req.Seed, err)
-	}
-	return finalize(j, sess.Run(), suite, obs)
-}
-
-// executeFarm runs a batch of workload-compatible jobs as one farm group:
-// one shared trace sampler, member chips stepped in lockstep. The farm path
-// is golden-equivalent to the scalar path (proven in internal/check), so
-// which path a job happens to ride never changes its response bytes.
+// executeFarm runs a batch of workload-compatible jobs — a lone job is a
+// batch of one — as one farm group: one shared trace sampler, member chips
+// stepped in lockstep. A farm member is golden-equivalent to a chip stepped
+// alone (proven in internal/check), so which batch a job happens to ride
+// never changes its response bytes.
 func (s *Server) executeFarm(batch []*job) {
 	obs := make([]runObservers, len(batch))
 	suites := make([]*check.Suite, len(batch))
@@ -82,7 +73,7 @@ func (s *Server) executeFarm(batch []*job) {
 	if err != nil {
 		// Group construction failed as a whole; fail every member.
 		for _, j := range batch {
-			s.m.runsFarm.Inc()
+			s.m.runs.Inc()
 			s.finish(j, nil, fmt.Errorf("serve: building farm batch: %w", err))
 		}
 		return
@@ -91,7 +82,7 @@ func (s *Server) executeFarm(batch []*job) {
 	// parallelism-free unit, so a single pool worker is exact and cheap.
 	sums, err := f.Run(engine.Pool{Workers: 1}, nil)
 	for i, j := range batch {
-		s.m.runsFarm.Inc()
+		s.m.runs.Inc()
 		if err != nil {
 			s.finish(j, nil, fmt.Errorf("serve: running farm batch: %w", err))
 			continue

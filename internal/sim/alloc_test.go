@@ -7,18 +7,24 @@ import (
 )
 
 // TestStepSteadyStateAllocs pins the zero-allocation contract of the
-// sequential interval loop: after warmup, a Step must not allocate — the
-// result reuses the chip's scratch Islands buffer and every island's
-// goroutine-owned buffers are already sized.
+// sequential interval loop, for a chip sampling its own records and for a
+// replay chip: after warmup, a Step must not allocate — the result reuses
+// the chip's scratch Islands buffer, the record source refills its own
+// batch, and every island's goroutine-owned buffers are already sized.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(workload.Mix1())
 	cfg.Seed = 11
-	c := newCMP(t, cfg)
-	for k := 0; k < 5; k++ {
-		c.Step()
-	}
-	if n := testing.AllocsPerRun(20, func() { c.Step() }); n != 0 {
-		t.Errorf("steady-state Step allocates %v times per interval, want 0", n)
+	set, _ := recordRun(t, 8, nil)
+	rcfg := cfg
+	rcfg.Replay = &set
+	for name, cfg := range map[string]Config{"sampled": cfg, "replay": rcfg} {
+		c := newCMP(t, cfg)
+		for k := 0; k < 5; k++ {
+			c.Step()
+		}
+		if n := testing.AllocsPerRun(20, func() { c.Step() }); n != 0 {
+			t.Errorf("%s: steady-state Step allocates %v times per interval, want 0", name, n)
+		}
 	}
 }
 

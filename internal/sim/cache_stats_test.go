@@ -65,13 +65,9 @@ func TestCacheStatsSharedL2Dedupe(t *testing.T) {
 	// Ground truth: one core's view per island.
 	var want cache.Stats
 	var overcounted cache.Stats
-	for _, st := range c.islands {
-		for j, core := range st.cores {
-			cs, ok := core.(cacheStatser)
-			if !ok {
-				continue
-			}
-			_, _, l2 := cs.CacheStats()
+	for _, isl := range c.sampler.islands {
+		for j, core := range isl.cores {
+			_, _, l2 := core.CacheStats()
 			addCacheStats(&overcounted, l2)
 			if j == 0 {
 				addCacheStats(&want, l2)

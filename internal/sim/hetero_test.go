@@ -184,9 +184,10 @@ func TestSnapshotRejectsIslandIdentityMismatch(t *testing.T) {
 }
 
 // FuzzChipSnapshotV3Restore is the reject-or-identical robustness target
-// for the chip section and its v3 per-island identity block: whatever
-// bytes arrive, Restore must either reject them with an error or produce a
-// state whose re-encoding is byte-identical to the input.
+// for the chip section, its v3 per-island identity block and its v4
+// owned-sampler section: whatever bytes arrive, Restore must either reject
+// them with an error or produce a state whose re-encoding is byte-identical
+// to the input.
 func FuzzChipSnapshotV3Restore(f *testing.F) {
 	cfg := DefaultConfig(tinyMix())
 	cfg.Tech = power.TechConfig{Node: power.Node16, Variant: power.ITRS}
@@ -199,10 +200,25 @@ func FuzzChipSnapshotV3Restore(f *testing.F) {
 		seed.Step()
 	}
 	valid := snapshotChip(f, seed)
+	// A record-driven twin in the same state encodes the same chip section
+	// without the sampler, so its length locates the owned-sampler flag.
+	src, err := NewSampler(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	twin, err := NewWithRecords(cfg, src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		twin.Step()
+	}
+	flag := len(snapshotChip(f, twin)) - 1
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/3])
-	for _, off := range []int{8, 24, 40, 64, len(valid) / 2} {
+	f.Add(valid[:flag+1])
+	for _, off := range []int{8, 24, 40, 64, len(valid) / 2, flag, flag + 8, flag + 24, flag + 40} {
 		if off < len(valid) {
 			mut := bytes.Clone(valid)
 			mut[off] ^= 0x01

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/uarch"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -183,9 +184,8 @@ func TestTraceSetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// Replay must be dramatically cheaper than live simulation (it skips the
-// cache and stream work); this guards the feature's raison d'être without
-// being timing-flaky — we compare work, not wall-clock.
+// A replay chip runs on the recorded trace alone: no sampler, no caches
+// (CacheStats stays zero), yet it produces throughput past the trace end.
 func TestReplayCoreIsolated(t *testing.T) {
 	set, _ := recordRun(t, 6, nil)
 	cfg := DefaultConfig(workload.Mix1())
@@ -197,5 +197,30 @@ func TestReplayCoreIsolated(t *testing.T) {
 	}
 	if sum <= 0 {
 		t.Fatal("replay produced no throughput")
+	}
+	if r.sampler != nil || r.CacheStats() != (CacheStats{}) {
+		t.Error("replay chip owns a sampler or reports cache traffic")
+	}
+}
+
+// The replay source keeps no cursor: a replay chip restored from a
+// mid-trace snapshot continues exactly where the original does, wrap-around
+// included.
+func TestReplaySnapshotResume(t *testing.T) {
+	set, _ := recordRun(t, 7, nil)
+	cfg := DefaultConfig(workload.Mix1())
+	cfg.Replay = &set
+	a := newCMP(t, cfg)
+	for k := 0; k < 5; k++ {
+		a.Step()
+	}
+	b := newCMP(t, cfg)
+	if err := b.Restore(snapshot.NewDecoder(snapshotChip(t, a))); err != nil {
+		t.Fatal(err)
+	}
+	for k := 5; k < 20; k++ {
+		if ra, rb := a.Step(), b.Step(); ra.ChipPowerW != rb.ChipPowerW || ra.TotalBIPS != rb.TotalBIPS {
+			t.Fatalf("interval %d: resumed replay diverged: %+v vs %+v", k, rb, ra)
+		}
 	}
 }

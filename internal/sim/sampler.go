@@ -3,49 +3,49 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/cpm-sim/cpm/internal/cache"
-	"github.com/cpm-sim/cpm/internal/mem"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/uarch"
 )
 
-// Sampler is the frequency-independent half of a chip, standing alone: the
-// per-core phase machines, address-stream generators and cache hierarchies
-// a live chip would own, advanced one interval at a time to produce
-// TraceRecord batches. Because records do not depend on the operating
-// point, every chip sharing the sampler's workload identity (seed, mix,
-// core and cache configuration — see farm.WorkloadKey) can be driven from
-// one Sampler through NewWithRecords, paying the expensive sampling work
-// (>95% of a live step) once per interval instead of once per chip.
+// Sampler is the frequency-independent half of a chip: the per-core phase
+// machines, address-stream generators and cache hierarchies, advanced one
+// interval at a time to produce TraceRecord batches. Every chip New builds
+// owns one; because records do not depend on the operating point, every
+// chip sharing the sampler's workload identity (seed, mix, core and cache
+// configuration — see farm.WorkloadKey) can also be driven from one shared
+// Sampler through NewWithRecords, paying the expensive sampling work (>95%
+// of a step) once per interval instead of once per chip.
 //
-// A Sampler built from cfg produces, interval for interval, exactly the
-// records a live New(cfg) chip's cores would have sampled: construction
-// derives the same per-core seeds and builds the same cache structures
-// through the same helpers. The memory system, thermal, variation and DVFS
-// parts of cfg are ignored — they belong to the compute half.
+// The memory system, thermal, variation and DVFS parts of cfg are ignored —
+// they belong to the compute half.
 //
 // Not safe for concurrent use; in a farm each sampler group is stepped by
 // one worker.
 type Sampler struct {
-	cfg     Config
 	islands []samplerIsland
-	cores   []*uarch.Core // global core-ID order
 	cursor  int
-	recs    []uarch.TraceRecord
+	recs    []uarch.TraceRecord // global core-ID order
 	// fresh reports that recs holds interval cursor-1 (false right after
 	// construction or restore, when no batch has been sampled yet).
 	fresh bool
+	// parallel samples islands concurrently; they share no state while
+	// sampling. Set for the sampler a parallel chip owns.
+	parallel bool
 }
 
 type samplerIsland struct {
 	cores  []*uarch.Core
 	shared *cache.Banked
+	recs   []uarch.TraceRecord // the island's window of Sampler.recs
 }
 
-// NewSampler builds the sampling half of New(cfg). Replay configurations
-// are rejected: replay cores have no sampling half.
+// NewSampler builds the sampling half of New(cfg); it samples islands in
+// sequence whatever cfg.Parallel says. Replay configurations are rejected:
+// a replayed trace has no sampling half.
 func NewSampler(cfg Config) (*Sampler, error) {
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, err
@@ -63,22 +63,15 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Cores validate against a memory system at construction but never
-	// read it during sampling (latency belongs to the compute half); a
-	// throwaway instance satisfies the constructor.
-	memsys, err := mem.New(cfg.Mem)
-	if err != nil {
-		return nil, err
-	}
-	// The per-island core configurations must match the live chip's exactly
-	// — a class or tech mismatch would change the record stream (pipeline
-	// widths shape the CPI floor), so the sampler resolves islands through
-	// the same helpers as newChip.
+	// The per-island core configurations must match the compute half's
+	// exactly — a class or tech mismatch would change the record stream
+	// (pipeline widths shape the CPI floor), so the sampler resolves
+	// islands through the same helpers as newChip.
 	_, islandModels, classes, err := resolveIslandModels(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{cfg: cfg}
+	s := &Sampler{recs: make([]uarch.TraceRecord, cfg.Mix.Cores())}
 	coreID := 0
 	for islandID, islandProfiles := range profiles {
 		coreCfg, err := islandCoreConfig(cfg, classes[islandID], islandModels[islandID].Table)
@@ -89,28 +82,26 @@ func NewSampler(cfg Config) (*Sampler, error) {
 		if err != nil {
 			return nil, err
 		}
-		isl := samplerIsland{shared: shared}
+		isl := samplerIsland{shared: shared, recs: s.recs[coreID : coreID+len(islandProfiles)]}
 		for _, prof := range islandProfiles {
 			h, err := coreHierarchy(cfg, shared)
 			if err != nil {
 				return nil, err
 			}
-			core, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h, memsys)
+			core, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h)
 			if err != nil {
 				return nil, fmt.Errorf("sim: sampler core %d (%s): %w", coreID, prof.Name, err)
 			}
 			isl.cores = append(isl.cores, core)
-			s.cores = append(s.cores, core)
 			coreID++
 		}
 		s.islands = append(s.islands, isl)
 	}
-	s.recs = make([]uarch.TraceRecord, len(s.cores))
 	return s, nil
 }
 
 // NumCores returns the core count of the sampled chip.
-func (s *Sampler) NumCores() int { return len(s.cores) }
+func (s *Sampler) NumCores() int { return len(s.recs) }
 
 // Cursor returns the next interval the sampler will generate.
 func (s *Sampler) Cursor() int { return s.cursor }
@@ -124,8 +115,20 @@ func (s *Sampler) Cursor() int { return s.cursor }
 func (s *Sampler) Records(k int) []uarch.TraceRecord {
 	switch {
 	case k == s.cursor:
-		for i, core := range s.cores {
-			s.recs[i] = core.SampleInterval()
+		if s.parallel && len(s.islands) > 1 {
+			var wg sync.WaitGroup
+			for i := range s.islands {
+				wg.Add(1)
+				go func(isl *samplerIsland) {
+					defer wg.Done()
+					isl.sample()
+				}(&s.islands[i])
+			}
+			wg.Wait()
+		} else {
+			for i := range s.islands {
+				s.islands[i].sample()
+			}
 		}
 		s.cursor++
 		s.fresh = true
@@ -137,6 +140,13 @@ func (s *Sampler) Records(k int) []uarch.TraceRecord {
 	return s.recs
 }
 
+// sample fills the island's record window with one interval per core.
+func (isl *samplerIsland) sample() {
+	for j, core := range isl.cores {
+		isl.recs[j] = core.SampleInterval()
+	}
+}
+
 // Advance samples and discards n intervals — warming the sampler past a
 // stretch no chip will consume (e.g. warm-up intervals already baked into
 // forked chip snapshots).
@@ -146,10 +156,9 @@ func (s *Sampler) Advance(n int) {
 	}
 }
 
-// CacheStats aggregates the sampler's cumulative cache counters exactly as
-// CMP.CacheStats would for the live twin chip: summed over cores, shared
-// L2s counted once per island. Record-driven chips delegate here via
-// CMP.SetCacheStatsSource (all chips of a group share these counters).
+// CacheStats aggregates the sampler's cumulative cache counters: summed
+// over cores, shared L2s counted once per island. CMP.CacheStats reads
+// these (all chips of a farm group share them).
 func (s *Sampler) CacheStats() CacheStats {
 	var out CacheStats
 	for _, isl := range s.islands {
@@ -165,10 +174,9 @@ func (s *Sampler) CacheStats() CacheStats {
 	return out
 }
 
-// IslandCacheStats aggregates island i's cumulative cache counters exactly
-// as CMP.IslandCacheStats would for the live twin chip: summed over the
-// island's cores, a shared L2 counted once. Record-driven chips delegate
-// here via CMP.SetIslandCacheStatsSource.
+// IslandCacheStats aggregates island i's cumulative cache counters: summed
+// over the island's cores, a shared L2 counted once. CMP.IslandCacheStats
+// reads these.
 func (s *Sampler) IslandCacheStats(i int) CacheStats {
 	var out CacheStats
 	isl := s.islands[i]
@@ -186,11 +194,11 @@ func (s *Sampler) IslandCacheStats(i int) CacheStats {
 // Snapshot appends the sampler's complete dynamic state: the cursor and
 // per island its shared L2 (once, when shared) and per-core generator and
 // cache state. The cached record batch is not captured — snapshots are
-// taken between farm rounds, when every sharing chip has consumed it and
-// the next request advances the cursor.
+// taken between steps (or farm rounds), when every sharing chip has
+// consumed it and the next request advances the cursor.
 func (s *Sampler) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagSampler)
-	e.Int(len(s.cores))
+	e.Int(len(s.recs))
 	e.Int(len(s.islands))
 	for _, isl := range s.islands {
 		e.Int(len(isl.cores))
@@ -217,9 +225,9 @@ func (s *Sampler) Restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if nCores != len(s.cores) || nIslands != len(s.islands) {
+	if nCores != len(s.recs) || nIslands != len(s.islands) {
 		return snapshot.ShapeErrorf("snapshot sampler is %d cores / %d islands, target is %d / %d",
-			nCores, nIslands, len(s.cores), len(s.islands))
+			nCores, nIslands, len(s.recs), len(s.islands))
 	}
 	for i, isl := range s.islands {
 		if n := d.Int(); d.Err() == nil && n != len(isl.cores) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/snapshot"
@@ -120,5 +121,42 @@ func TestSamplerSnapshotRoundTrip(t *testing.T) {
 	a.Snapshot(e2)
 	if err := c.Restore(snapshot.NewDecoder(e2.Bytes())); err == nil {
 		t.Error("32-core sampler accepted an 8-core snapshot")
+	}
+}
+
+// TestSnapshotOwnedSamplerMismatch pins the v4 owned-sampler section: a
+// chip built by New carries its sampler in its snapshot and a
+// NewWithRecords chip does not, so restoring either into the other is a
+// shape error rather than a chip silently running on the wrong workload
+// state.
+func TestSnapshotOwnedSamplerMismatch(t *testing.T) {
+	cfg := DefaultConfig(tinyMix())
+	build := func(owned bool) *CMP {
+		if owned {
+			return newCMP(t, cfg)
+		}
+		s, err := NewSampler(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewWithRecords(cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, owned := range []bool{true, false} {
+		src := build(owned)
+		for k := 0; k < 3; k++ {
+			src.Step()
+		}
+		raw := snapshotChip(t, src)
+		err := build(!owned).Restore(snapshot.NewDecoder(raw))
+		if !errors.Is(err, snapshot.ErrShape) {
+			t.Errorf("owned=%v snapshot into owned=%v chip: want shape error, got %v", owned, !owned, err)
+		}
+		if err := build(owned).Restore(snapshot.NewDecoder(raw)); err != nil {
+			t.Errorf("owned=%v snapshot into a matching chip: %v", owned, err)
+		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/mem"
 	"github.com/cpm-sim/cpm/internal/noc"
 	"github.com/cpm-sim/cpm/internal/power"
-	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/uarch"
 	"github.com/cpm-sim/cpm/internal/variation"
@@ -86,16 +85,18 @@ type Config struct {
 	// with one interval of delay. Nil disables the interconnect (memory
 	// controller adjacency, the pre-mesh idealization).
 	NoC *noc.Config
-	// Parallel runs islands concurrently (bit-identical to sequential).
+	// Parallel runs islands concurrently — both the chip's own sampler and
+	// the compute half (bit-identical to sequential).
 	Parallel bool
 	// RecordTraces captures every core's per-interval TraceRecord; retrieve
 	// the set with CMP.Traces() and replay it via Replay.
 	RecordTraces bool
-	// Replay, when non-nil, replaces the live cores with trace-replaying
-	// ones: the chip re-executes the recorded workload behaviour (possibly
-	// under a different controller or DVFS trajectory), skipping phase
-	// generation and cache simulation. Core/benchmark assignments must
-	// match the mix.
+	// Replay, when non-nil, feeds the chip a recorded trace instead of
+	// sampling: the chip re-executes the recorded workload behaviour
+	// (possibly under a different controller or DVFS trajectory), skipping
+	// phase generation and cache simulation. Interval k of core id replays
+	// record k modulo that core's trace length. Core/benchmark assignments
+	// must match the mix.
 	Replay *uarch.TraceSet
 }
 
@@ -161,38 +162,26 @@ func (r Result) Clone() Result {
 	return r
 }
 
-// coreModel is the per-core surface the engine drives, satisfied by both
-// the live uarch.Core and the trace-replaying uarch.ReplayCore.
-type coreModel interface {
-	RunInterval(freqMHz, intervalSec, overheadFrac float64) uarch.IntervalStats
-	Profile() workload.Profile
-	SetExtraMemLatency(func() float64)
-}
-
-// recordFinisher is the capability record-driven chips step cores through:
-// evaluating an externally supplied TraceRecord at the core's operating
-// point. uarch.ComputeCore (and uarch.Core) implement it.
-type recordFinisher interface {
-	FinishInterval(rec uarch.TraceRecord, freqMHz, intervalSec, overheadFrac float64) uarch.IntervalStats
-}
-
 // RecordSource supplies per-core TraceRecords, one batch per interval, to
-// chips built with NewWithRecords. The returned slice is indexed by global
-// core ID and must stay valid until the next Records call.
+// a chip's compute half. The returned slice is indexed by global core ID
+// and must stay valid until the next Records call. Every chip steps through
+// one: New builds a private Sampler (or, under Config.Replay, a trace
+// reader), and NewWithRecords takes a caller-supplied source.
 //
 // The contract is lockstep: consumers ask for interval k only when the
 // source's cursor is at k (which advances it) or at k+1 (which returns the
 // cached batch, so several chips sharing one source can each step interval
-// k). Implementations panic on out-of-order access — it means chips
-// sharing a sampler have diverged, which would silently corrupt every
-// chip's workload stream.
+// k). Stateful implementations (Sampler) panic on out-of-order access — it
+// means chips sharing a sampler have diverged, which would silently corrupt
+// every chip's workload stream; a replay source, which keeps no cursor,
+// answers any k.
 type RecordSource interface {
 	Records(k int) []uarch.TraceRecord
 }
 
 type islandState struct {
 	isl       *island.Island
-	cores     []coreModel
+	cores     []*uarch.ComputeCore
 	maxPowerW float64
 	// model is the island's own power model: on a homogeneous chip every
 	// island aliases the chip model (pointer-identical, so the legacy
@@ -200,10 +189,6 @@ type islandState struct {
 	// class carries its own scaled table and reference parameters.
 	model *power.Model
 	class power.CoreClass
-	// sharedL2 is the island's shared banked L2 when Config.SharedL2 is
-	// set (nil otherwise); retained so a snapshot captures the shared
-	// state exactly once per island instead of once per core.
-	sharedL2 *cache.Banked
 	// scratch for the parallel executor
 	res       IslandResult
 	memBlocks uint64
@@ -224,14 +209,16 @@ type CMP struct {
 
 	recorded [][]uarch.TraceRecord
 
-	// recSrc, when non-nil, supplies every interval's per-core TraceRecords
-	// in place of live sampling: the chip was built by NewWithRecords and
-	// its cores are compute-only. recs is the current interval's batch.
-	recSrc RecordSource
-	recs   []uarch.TraceRecord
+	// src supplies every interval's per-core TraceRecords; recs is the
+	// current interval's batch. sampler is src when the chip owns its
+	// sampler (built by New without Replay) and nil otherwise; an owned
+	// sampler is part of the chip's snapshot.
+	src     RecordSource
+	recs    []uarch.TraceRecord
+	sampler *Sampler
 
-	// cacheStatsSrc, when non-nil, overrides CacheStats — record-driven
-	// chips have no caches of their own and delegate to their sampler.
+	// cacheStatsSrc supplies CacheStats — the caches live in the record
+	// source's sampler, not in the chip. Nil reads as zero counters.
 	cacheStatsSrc func() CacheStats
 	// islandCacheStatsSrc is the per-island twin of cacheStatsSrc.
 	islandCacheStatsSrc func(int) CacheStats
@@ -271,20 +258,46 @@ func (c *CMP) AddStepHook(fn func(Result)) {
 	}
 }
 
-// New builds a CMP from cfg.
+// New builds a CMP from cfg. The chip owns its record source: a private
+// Sampler (islands sampled concurrently under cfg.Parallel), or under
+// cfg.Replay a reader over the recorded trace.
 func New(cfg Config) (*CMP, error) {
-	return newChip(cfg, nil)
+	if cfg.Replay != nil {
+		if cfg.RecordTraces {
+			return nil, errors.New("sim: cannot record while replaying")
+		}
+		src, err := newReplaySource(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return newChip(cfg, src)
+	}
+	s, err := NewSampler(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.parallel = cfg.Parallel
+	c, err := newChip(cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	c.sampler = s
+	c.cacheStatsSrc = s.CacheStats
+	c.islandCacheStatsSrc = s.IslandCacheStats
+	if cfg.RecordTraces {
+		c.recorded = make([][]uarch.TraceRecord, c.nCores)
+	}
+	return c, nil
 }
 
-// NewWithRecords builds a record-driven chip: every core is a thin
-// uarch.ComputeCore holding no caches or generators, and each Step consumes
-// one batch of per-core TraceRecords from src (normally a sim.Sampler built
-// from the same Config). Everything frequency- or chip-dependent — DVFS
-// state, power, leakage, thermal RC network, memory and NoC congestion
-// feedback, process variation — remains per-chip, so a record-driven chip
-// fed the records its own live twin would have sampled is bit-identical to
-// that twin while costing a few KB and a few µs per interval instead of a
-// few hundred KB and ~100µs per core.
+// NewWithRecords builds a chip driven by an external record source
+// (normally a sim.Sampler built from the same Config and shared by a farm
+// group). Everything frequency- or chip-dependent — DVFS state, power,
+// leakage, thermal RC network, memory and NoC congestion feedback, process
+// variation — remains per-chip, so a chip fed the records its own New twin
+// would have sampled is bit-identical to that twin. The chip holds no
+// caches: CacheStats reads zero until SetCacheStatsSource points it at the
+// sampler.
 //
 // Incompatible with RecordTraces and Replay (there is nothing to record,
 // and replay already has its own record stream).
@@ -344,6 +357,7 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 		memsys:     memsys,
 		thermals:   th,
 		varmap:     cfg.Variation,
+		src:        src,
 		nCores:     nCores,
 		corePowers: make([]float64, nCores),
 		coreCPIs:   make([]float64, nCores),
@@ -358,14 +372,7 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 		}
 		c.mesh = mesh
 	}
-	if cfg.RecordTraces {
-		if cfg.Replay != nil {
-			return nil, errors.New("sim: cannot record while replaying")
-		}
-		c.recorded = make([][]uarch.TraceRecord, nCores)
-	}
 
-	c.recSrc = src
 	coreID := 0
 	for islandID, islandProfiles := range profiles {
 		st := &islandState{model: islandModels[islandID], class: classes[islandID]}
@@ -382,50 +389,14 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 				initLevel, islandID, st.model.Table.Levels())
 		}
 		var coreIDs []int
-		if src == nil {
-			shared, err := islandL2(cfg, len(islandProfiles))
-			if err != nil {
-				return nil, err
-			}
-			st.sharedL2 = shared
-		}
 		for _, prof := range islandProfiles {
-			var core coreModel
-			switch {
-			case src != nil:
-				// Thin member chip: no caches, no generators; records
-				// arrive from the shared sampler. The L2 latency records
-				// are charged at is the Table I per-core figure in every
-				// L2 configuration (banked shares it; the prefetcher
-				// wraps a slice with it).
-				cc, err := uarch.NewComputeCore(coreID, coreCfg, prof,
-					cache.TableIL2PerCore().LatencyCycles, memsys)
-				if err != nil {
-					return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
-				}
-				core = cc
-			case cfg.Replay != nil:
-				rc, err := replayCoreFor(cfg, coreCfg, coreID, prof, memsys)
-				if err != nil {
-					return nil, err
-				}
-				core = rc
-			default:
-				h, err := coreHierarchy(cfg, st.sharedL2)
-				if err != nil {
-					return nil, err
-				}
-				live, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h, memsys)
-				if err != nil {
-					return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
-				}
-				if cfg.RecordTraces {
-					id := coreID
-					live.SetRecorder(func(rec uarch.TraceRecord) {
-						c.recorded[id] = append(c.recorded[id], rec)
-					})
-				}
-				core = live
+			// The L2 latency records are charged at is the Table I
+			// per-core figure in every L2 configuration (banked shares it;
+			// the prefetcher wraps a slice with it).
+			core, err := uarch.NewComputeCore(coreID, coreCfg, prof,
+				cache.TableIL2PerCore().LatencyCycles, memsys)
+			if err != nil {
+				return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
 			}
 			if c.mesh != nil {
 				tile := coreID
@@ -536,8 +507,7 @@ func islandL2(cfg Config, islandCores int) (*cache.Banked, error) {
 
 // coreHierarchy builds one core's cache hierarchy, wiring the island's
 // shared L2 when present and otherwise a private slice with the configured
-// prefetcher. Shared by the live constructor and the farm sampler so both
-// produce bit-identical cache state.
+// prefetcher.
 func coreHierarchy(cfg Config, shared *cache.Banked) (*cache.Hierarchy, error) {
 	l1i, err := cache.New(cache.TableIL1())
 	if err != nil {
@@ -679,14 +649,13 @@ func (c *CMP) Thermals() *thermal.Model { return c.thermals }
 // TotalInstructions returns cumulative instructions across all cores.
 func (c *CMP) TotalInstructions() float64 { return c.totalInstr }
 
-// SetCacheStatsSource overrides CacheStats with an external supplier —
-// record-driven chips simulate no caches and delegate to the sampler that
-// feeds them. A nil source restores the chip's own counters.
+// SetCacheStatsSource sets the supplier CacheStats reads — the sampler
+// feeding a NewWithRecords chip (New wires its own sampler). A nil source
+// reads as zero counters.
 func (c *CMP) SetCacheStatsSource(f func() CacheStats) { c.cacheStatsSrc = f }
 
-// SetIslandCacheStatsSource overrides IslandCacheStats with an external
-// per-island supplier, the island-resolution twin of SetCacheStatsSource.
-// A nil source restores the chip's own counters.
+// SetIslandCacheStatsSource sets the per-island supplier IslandCacheStats
+// reads, the island-resolution twin of SetCacheStatsSource.
 func (c *CMP) SetIslandCacheStatsSource(f func(int) CacheStats) { c.islandCacheStatsSrc = f }
 
 // CorePowers copies the previous interval's per-core oracle power (W) into
@@ -734,63 +703,26 @@ type CacheStats struct {
 	L2  cache.Stats
 }
 
-// cacheStatser is the optional per-core capability CacheStats aggregates;
-// live uarch.Cores implement it, trace-replaying cores (which simulate no
-// caches) do not.
-type cacheStatser interface {
-	CacheStats() (l1i, l1d, l2 cache.Stats)
-}
-
-// CacheStats returns the chip's cumulative cache counters, summed over
-// cores. With a shared per-island L2, the shared cache's counters are
-// counted once per island, not once per core. Replay cores contribute
-// nothing (they re-execute recorded cache behaviour without caches).
+// CacheStats returns the chip's cumulative cache counters from its record
+// source's sampler: summed over cores, a shared per-island L2 counted once
+// per island. A replay chip, or a NewWithRecords chip without a source,
+// reports zero (it re-executes recorded cache behaviour without caches).
 // Allocation-free; safe to call between Steps.
 func (c *CMP) CacheStats() CacheStats {
-	if c.cacheStatsSrc != nil {
-		return c.cacheStatsSrc()
+	if c.cacheStatsSrc == nil {
+		return CacheStats{}
 	}
-	var out CacheStats
-	for _, st := range c.islands {
-		for j, core := range st.cores {
-			cs, ok := core.(cacheStatser)
-			if !ok {
-				continue
-			}
-			l1i, l1d, l2 := cs.CacheStats()
-			addCacheStats(&out.L1I, l1i)
-			addCacheStats(&out.L1D, l1d)
-			if !c.cfg.SharedL2 || j == 0 {
-				addCacheStats(&out.L2, l2)
-			}
-		}
-	}
-	return out
+	return c.cacheStatsSrc()
 }
 
 // IslandCacheStats returns island i's cumulative cache counters, the
-// per-island resolution of CacheStats with identical semantics: summed over
-// the island's cores, a shared L2 counted once. Record-driven chips
-// delegate to the sampler via SetIslandCacheStatsSource. Allocation-free;
-// safe to call between Steps.
+// per-island resolution of CacheStats with identical semantics.
+// Allocation-free; safe to call between Steps.
 func (c *CMP) IslandCacheStats(i int) CacheStats {
-	if c.islandCacheStatsSrc != nil {
-		return c.islandCacheStatsSrc(i)
+	if c.islandCacheStatsSrc == nil {
+		return CacheStats{}
 	}
-	var out CacheStats
-	for j, core := range c.islands[i].cores {
-		cs, ok := core.(cacheStatser)
-		if !ok {
-			continue
-		}
-		l1i, l1d, l2 := cs.CacheStats()
-		addCacheStats(&out.L1I, l1i)
-		addCacheStats(&out.L1D, l1d)
-		if !c.cfg.SharedL2 || j == 0 {
-			addCacheStats(&out.L2, l2)
-		}
-	}
-	return out
+	return c.islandCacheStatsSrc(i)
 }
 
 func addCacheStats(dst *cache.Stats, s cache.Stats) {
@@ -804,12 +736,15 @@ func addCacheStats(dst *cache.Stats, s cache.Stats) {
 // returned Result's Islands slice is valid until the next Step (see
 // Result.Clone).
 func (c *CMP) Step() Result {
-	if c.recSrc != nil {
-		// Fetch the interval's records before the island loop so the
-		// parallel executor only reads the shared batch.
-		c.recs = c.recSrc.Records(c.interval)
-		if len(c.recs) != c.nCores {
-			panic(fmt.Sprintf("sim: record source supplied %d records for %d cores", len(c.recs), c.nCores))
+	// Fetch the interval's records before the island loop so the parallel
+	// executor only reads the shared batch.
+	c.recs = c.src.Records(c.interval)
+	if len(c.recs) != c.nCores {
+		panic(fmt.Sprintf("sim: record source supplied %d records for %d cores", len(c.recs), c.nCores))
+	}
+	if c.recorded != nil {
+		for id, rec := range c.recs {
+			c.recorded[id] = append(c.recorded[id], rec)
 		}
 	}
 	if c.cfg.Parallel && len(c.islands) > 1 {
@@ -875,12 +810,7 @@ func (c *CMP) stepIsland(st *islandState) {
 	st.memBlocks = 0
 	for j, core := range st.cores {
 		coreID := st.isl.CoreIDs()[j]
-		var cs uarch.IntervalStats
-		if c.recs != nil {
-			cs = core.(recordFinisher).FinishInterval(c.recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead)
-		} else {
-			cs = core.RunInterval(op.FreqMHz, c.cfg.IntervalSec, overhead)
-		}
+		cs := core.FinishInterval(c.recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead)
 		act := power.DeriveActivity(cs.Activity)
 		pw := st.model.Dynamic.Power(op, act) +
 			st.model.Leakage.Power(op.VoltageV, c.thermals.Temp(coreID), c.varmap.CoreMult(coreID))
@@ -898,18 +828,53 @@ func (c *CMP) stepIsland(st *islandState) {
 	st.res = r
 }
 
-// replayCoreFor validates the replay assignment for one core and builds its
-// ReplayCore.
-func replayCoreFor(cfg Config, coreCfg uarch.Config, coreID int, prof workload.Profile, memsys *mem.System) (*uarch.ReplayCore, error) {
-	bench, ok := cfg.Replay.Benchmarks[coreID]
-	if !ok {
-		return nil, fmt.Errorf("sim: replay set has no trace for core %d", coreID)
+// replaySource is a replay chip's record source: interval k of core id is
+// trace[id][k % len(trace[id])]. It keeps no cursor — the chip's interval
+// counter is the whole position — so a snapshot needs nothing from it.
+type replaySource struct {
+	traces [][]uarch.TraceRecord
+	recs   []uarch.TraceRecord
+}
+
+// newReplaySource validates cfg.Replay against the mix — every core needs a
+// non-empty trace recorded from the benchmark the mix assigns it.
+func newReplaySource(cfg Config) (*replaySource, error) {
+	if err := cfg.Mix.Validate(); err != nil {
+		return nil, err
 	}
-	if bench != prof.Name {
-		return nil, fmt.Errorf("sim: core %d trace was recorded from %s, mix assigns %s", coreID, bench, prof.Name)
+	profiles, err := cfg.Mix.Profiles()
+	if err != nil {
+		return nil, err
 	}
-	return uarch.NewReplayCore(coreID, coreCfg, prof, cfg.Replay.Records[coreID],
-		cache.TableIL2PerCore().LatencyCycles, memsys)
+	r := &replaySource{}
+	coreID := 0
+	for _, islandProfiles := range profiles {
+		for _, prof := range islandProfiles {
+			bench, ok := cfg.Replay.Benchmarks[coreID]
+			if !ok {
+				return nil, fmt.Errorf("sim: replay set has no trace for core %d", coreID)
+			}
+			if bench != prof.Name {
+				return nil, fmt.Errorf("sim: core %d trace was recorded from %s, mix assigns %s", coreID, bench, prof.Name)
+			}
+			trace := cfg.Replay.Records[coreID]
+			if len(trace) == 0 {
+				return nil, fmt.Errorf("sim: core %d has an empty trace", coreID)
+			}
+			r.traces = append(r.traces, trace)
+			coreID++
+		}
+	}
+	r.recs = make([]uarch.TraceRecord, coreID)
+	return r, nil
+}
+
+// Records implements RecordSource.
+func (r *replaySource) Records(k int) []uarch.TraceRecord {
+	for id, trace := range r.traces {
+		r.recs[id] = trace[k%len(trace)]
+	}
+	return r.recs
 }
 
 // Traces returns the recorded trace set (RecordTraces must have been set).

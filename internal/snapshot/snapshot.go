@@ -44,7 +44,11 @@ const Magic uint32 = 0x534d5043
 // technology node/variant plus each island's core class and DVFS-table
 // shape — validated on restore, so a snapshot cannot silently restore
 // into a chip with different tables.
-const Version uint32 = 3
+// Version 4: every chip core is a compute core; the per-core kind bytes
+// are gone and the chip section ends with an owned-sampler section (a
+// presence flag plus the sampler state for chips built by sim.New). The
+// sampling core no longer carries an instruction count.
+const Version uint32 = 4
 
 // Section tags. Every composite object's Snapshot opens with one, and the
 // matching Restore verifies it — a cheap structural checksum that turns
@@ -66,7 +70,7 @@ const (
 	TagIsland
 	TagVariation
 	TagCore
-	TagReplayCore
+	_ // retired (replay cores); keeps the later tag values unchanged
 	TagChip
 	TagGPM
 	TagPolicy
