@@ -97,7 +97,7 @@ policy-check:
 	$(GO) test -race ./internal/pic ./internal/gpm
 	$(GO) test -race ./internal/check -run 'TestGoldenScenarios$$/(adaptive-pic|mpc-gpm|cache-aware)|TestGoldenSnapshotResumeEquivalence'
 	$(GO) test -race ./internal/core -run 'TestAdaptive|TestCacheSignals|TestSnapshotRoundTripCacheAdaptive'
-	$(GO) test -race ./cmd/cpmsweep -run 'TestSweepAdaptiveAndPredictiveRoutes|TestMakePolicyNames'
+	$(GO) test -race ./cmd/cpmsweep -run 'TestSweepAdaptiveAndPredictiveRoutes'
 
 # Crash-safety gate (race-enabled): pool panic containment, the sweepd
 # coordinator/checkpoint/kill-plan unit suite, the nine-scenario golden

@@ -192,3 +192,28 @@ func TestScenarioMetricsJSONRoundTrip(t *testing.T) {
 		t.Errorf("scenario telemetry missing from export:\n%s", raw)
 	}
 }
+
+// TestScenarioTelemetryParity: a scenario run exports the chip and PIC
+// series the observer discovers from the session, like every other route.
+func TestScenarioTelemetryParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden scenario replay in -short mode")
+	}
+	c, err := parseCLI([]string{"-metrics", "-", "scenario", "cpm-default"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.opts.Metrics = c.diag.Registry()
+	if err := runScenarios(c, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range c.opts.Metrics.Gather() {
+		have[f.Name] = true
+	}
+	for _, name := range []string{"cpm_island_level_residency_intervals_total", "cpm_cache_hits_total", "cpm_pic_integrator"} {
+		if !have[name] {
+			t.Errorf("scenario telemetry lacks %s", name)
+		}
+	}
+}

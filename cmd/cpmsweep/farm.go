@@ -20,14 +20,14 @@ import (
 // sampler group and the sweep pays the sampling cost of a single run
 // instead of 1+2*len(budgets) runs. Grouping never changes a chip's
 // trajectory, so the CSV is byte-identical at any -workers or -farm-size.
-func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]sweepRow, error) {
+func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]engine.Summary, []*check.Suite, error) {
 	var warmManaged, warmBase, samplerState []byte
 	var err error
 	warmLeft := o.Warm
 	if o.WarmStart {
 		warmManaged, warmBase, samplerState, err = warmFarmTemplates(cfg, o.Warm)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		warmLeft = 0
 		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
@@ -37,83 +37,33 @@ func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Wri
 	bcfg := cfg
 	bcfg.InitialLevel = -1
 
-	// Point layout: 0 is the unmanaged baseline, then (cpm, maxbips) per
-	// budget fraction. Suites and error contexts are indexed the same way.
-	nPoints := 1 + 2*len(o.Fracs)
-	specs := make([]farm.ChipSpec, 0, nPoints)
-	suites := make([]*check.Suite, nPoints)
-	errCtx := make([]string, nPoints)
-
-	// build adapts one point's stack builder into a ChipSpec session
-	// factory that records the point's suite.
-	build := func(i int, fn func(cmp *sim.CMP) (*engine.Session, *check.Suite, error)) func(*sim.CMP) (*engine.Session, error) {
-		return func(cmp *sim.CMP) (*engine.Session, error) {
-			sess, suite, err := fn(cmp)
-			suites[i] = suite
-			return sess, err
+	specs := make([]farm.ChipSpec, numPoints(o))
+	suites := make([]*check.Suite, len(specs))
+	for i := range specs {
+		i := i
+		specs[i] = farm.ChipSpec{
+			Config: cfg,
+			Init:   restoreWarmTemplate(warmManaged),
+			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+				sess, suite, err := wirePoint(cmp, o, cal, i, warmLeft)
+				suites[i] = suite
+				return sess, err
+			},
 		}
 	}
-	specs = append(specs, farm.ChipSpec{
-		Config: bcfg,
-		Init:   restoreWarmTemplate(warmBase),
-		NewSession: build(0, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
-			return buildUnmanaged(cmp, o, warmLeft)
-		}),
-	})
-	for pi, frac := range o.Fracs {
-		frac := frac
-		budget := cal.BudgetW(frac)
-		idxCPM, idxMB := 1+2*pi, 2+2*pi
-		errCtx[idxCPM] = fmt.Sprintf("budget %.2f W", budget)
-		errCtx[idxMB] = fmt.Sprintf("maxbips budget %.2f W", budget)
-		specs = append(specs, farm.ChipSpec{
-			Config: cfg,
-			Init:   restoreWarmTemplate(warmManaged),
-			NewSession: build(idxCPM, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
-				return buildCPM(cmp, o, cal, frac, warmLeft)
-			}),
-		}, farm.ChipSpec{
-			Config: cfg,
-			Init:   restoreWarmTemplate(warmManaged),
-			NewSession: build(idxMB, func(cmp *sim.CMP) (*engine.Session, *check.Suite, error) {
-				return buildMaxBIPS(cmp, o, budget, frac, warmLeft)
-			}),
-		})
-	}
+	specs[0].Config, specs[0].Init = bcfg, restoreWarmTemplate(warmBase)
 
 	f, err := farm.New(specs, farm.Options{MaxGroup: o.FarmSize, SamplerState: samplerState})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fmt.Fprintf(logw, "farm: %d points in %d sampler group(s)\n", f.NumChips(), f.NumGroups())
 
 	sums, err := f.Run(engine.Pool{Workers: o.Workers}, progressPrinter(logw))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, s := range suites {
-		if s == nil {
-			continue
-		}
-		if err := s.Err(); err != nil {
-			if errCtx[i] == "" {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%s: %w", errCtx[i], err)
-		}
-	}
-
-	base := sums[0]
-	rows := make([]sweepRow, len(o.Fracs))
-	for pi, frac := range o.Fracs {
-		ours, mb := sums[1+2*pi], sums[2+2*pi]
-		rows[pi] = sweepRow{
-			frac: frac, budgetW: cal.BudgetW(frac),
-			oursPowerW: ours.MeanPowerW, oursDegr: engine.Degradation(ours, base),
-			maxbipsPowerW: mb.MeanPowerW, maxbipsDegr: engine.Degradation(mb, base),
-		}
-	}
-	return rows, nil
+	return sums, suites, nil
 }
 
 // progressPrinter reports fleet progress and an ETA to the log writer as

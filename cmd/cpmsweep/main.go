@@ -35,7 +35,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
-	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -95,7 +94,7 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	if err != nil {
 		return sweepOptions{}, err
 	}
-	if _, err := makePolicy(*policy); err != nil { // validate the name before calibrating
+	if _, err := gpm.ByName(*policy); err != nil { // validate the name before calibrating
 		return sweepOptions{}, err
 	}
 	return sweepOptions{
@@ -182,179 +181,117 @@ type sweepOptions struct {
 	Metrics *metrics.Registry
 }
 
-// sweepRow is one budget point's measurements, in output order.
-type sweepRow struct {
-	frac, budgetW              float64
-	oursPowerW, oursDegr       float64
-	maxbipsPowerW, maxbipsDegr float64
-}
-
 // sweep calibrates once, runs every point — the shared unmanaged baseline
 // plus a CPM and a MaxBIPS run per budget — through the farm route (or the
-// resilient route under -resilient), and emits CSV in budget order.
+// resilient route under -resilient), and emits CSV in budget order. Both
+// routes return summaries and suites in the point layout of pointPlan.
 func sweep(o sweepOptions, out, logw io.Writer) error {
 	cfg := sim.DefaultConfig(o.Mix)
 	cfg.Seed = o.Seed
 	cfg.Parallel = o.Parallel
 
-	cal, err := core.Calibrate(cfg, 60, 240)
+	cal, err := core.CalibrateCached(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "calibrated %s: unmanaged %.1f W, plant gain %.3f\n",
 		o.Mix.Name, cal.UnmanagedPowerW, cal.PlantGain)
 
-	var rows []sweepRow
-	switch {
-	case o.Resilient:
-		rows, err = sweepResilient(cfg, cal, o, logw)
-	default:
-		rows, err = sweepFarm(cfg, cal, o, logw)
+	var sums []engine.Summary
+	var suites []*check.Suite
+	if o.Resilient {
+		sums, suites, err = sweepResilient(cfg, cal, o, logw)
+	} else {
+		sums, suites, err = sweepFarm(cfg, cal, o, logw)
 	}
 	if err != nil {
 		return err
 	}
+	for i, s := range suites {
+		if s == nil {
+			continue
+		}
+		if err := s.Err(); err != nil {
+			if i == 0 {
+				return err
+			}
+			ctx := "budget"
+			if pointKind(i) == check.MaxBIPS {
+				ctx = "maxbips budget"
+			}
+			return fmt.Errorf("%s %.2f W: %w", ctx, cal.BudgetW(o.Fracs[(i-1)/2]), err)
+		}
+	}
 
+	base := sums[0]
 	fmt.Fprintln(out, "budget_frac,budget_w,ours_power_w,ours_degradation,maxbips_power_w,maxbips_degradation")
-	for _, r := range rows {
+	for pi, frac := range o.Fracs {
+		ours, mb := sums[1+2*pi], sums[2+2*pi]
 		fmt.Fprintf(out, "%.2f,%.2f,%.2f,%.4f,%.2f,%.4f\n",
-			r.frac, r.budgetW, r.oursPowerW, r.oursDegr, r.maxbipsPowerW, r.maxbipsDegr)
+			frac, cal.BudgetW(frac), ours.MeanPowerW, engine.Degradation(ours, base),
+			mb.MeanPowerW, engine.Degradation(mb, base))
 	}
 	return nil
 }
 
-// buildUnmanaged wires the baseline point's stack onto cmp without running
-// it; warm is the warm-up still to simulate. The farm and resilient routes
-// both build every point through these three functions, so they drive
-// identical sessions.
-func buildUnmanaged(cmp *sim.CMP, o sweepOptions, warm int) (*engine.Session, *check.Suite, error) {
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		suite = check.All(check.ForChip(cmp, 0))
-		obs = append(obs, suite)
+// numPoints is the size of the sweep's point layout, shared by both
+// routes: 0 is the unmanaged baseline, then a CPM (odd) and a MaxBIPS
+// (even) point per budget fraction, in budget order.
+func numPoints(o sweepOptions) int { return 1 + 2*len(o.Fracs) }
+
+// pointKind is the stack of point i.
+func pointKind(i int) check.Kind {
+	switch {
+	case i == 0:
+		return check.Unmanaged
+	case i%2 == 1:
+		return check.CPM
 	}
-	if o.Metrics != nil {
-		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{Label: "unmanaged", Chip: cmp}))
-	}
-	s, err := engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: o.Epochs, Label: "unmanaged",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
+	return check.MaxBIPS
 }
 
-// buildCPM wires one managed budget point's stack onto cmp without running
-// it.
-func buildCPM(cmp *sim.CMP, o sweepOptions, cal core.Calibration, frac float64, warm int) (*engine.Session, *check.Suite, error) {
-	budget := cal.BudgetW(frac)
-	// Policies can be stateful (e.g. variation-aware), so each point builds
-	// its own instance.
-	pol, err := makePolicy(o.Policy)
+// pointPlan builds point i's stack plan, warm the warm-up epochs still to
+// simulate. Policies carry history, so every call builds a fresh one.
+func pointPlan(o sweepOptions, cal core.Calibration, i, warm int) (check.Plan, error) {
+	p := check.Plan{
+		Kind:    pointKind(i),
+		Session: engine.SessionConfig{WarmEpochs: warm, MeasureEpochs: o.Epochs},
+		Check:   o.Check,
+	}
+	if p.Kind == check.Unmanaged {
+		return p, nil
+	}
+	p.Core.BudgetW = cal.BudgetW(o.Fracs[(i-1)/2])
+	if p.Kind == check.MaxBIPS {
+		return p, nil
+	}
+	pol, err := gpm.ByName(o.Policy)
+	if err != nil {
+		return p, err
+	}
+	p.Core.Policy, p.Core.Transducers = pol, cal.Transducers
+	if o.Adaptive {
+		p.Core.Adaptive = &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
+	}
+	return p, nil
+}
+
+// wirePoint wires point i's stack onto cmp without running it, with a
+// telemetry observer when the sweep has a registry.
+func wirePoint(cmp *sim.CMP, o sweepOptions, cal core.Calibration, i, warm int) (*engine.Session, *check.Suite, error) {
+	p, err := pointPlan(o, cal, i, warm)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := core.New(cmp, core.Config{BudgetW: budget, Policy: pol, Transducers: cal.Transducers, Adaptive: adaptiveConfig(o.Adaptive, cal)})
-	if err != nil {
-		return nil, nil, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		suite = check.ForCPM(c, budget)
-		obs = append(obs, suite)
-	}
+	var extra []engine.Observer
 	if o.Metrics != nil {
-		pics := make([]*pic.Controller, cmp.NumIslands())
-		for i := range pics {
-			pics[i] = c.PIC(i)
+		label := p.Kind.String()
+		if i > 0 {
+			label = fmt.Sprintf("%s-%.2f", label, o.Fracs[(i-1)/2])
 		}
-		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
-			Label: fmt.Sprintf("cpm-%.2f", frac), Chip: cmp, PICs: pics,
-		}))
+		extra = append(extra, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{Label: label}))
 	}
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "cpm",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
-}
-
-// buildMaxBIPS wires one MaxBIPS budget point's stack onto cmp without
-// running it.
-func buildMaxBIPS(cmp *sim.CMP, o sweepOptions, budget, frac float64, warm int) (*engine.Session, *check.Suite, error) {
-	planner, err := engine.NewStaticPlanner(cmp)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := engine.NewMaxBIPSRunner(cmp, planner, budget, 20)
-	if err != nil {
-		return nil, nil, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		// Open-loop MaxBIPS overshoots realized power by design; widen the
-		// budget tolerance to the paper's reported ~20% worst case.
-		ccfg := check.ForChip(cmp, budget)
-		ccfg.BudgetTolFrac = 0.25
-		ccfg.IslandTolFrac = 0.25
-		suite = check.All(ccfg)
-		obs = append(obs, suite)
-	}
-	if o.Metrics != nil {
-		obs = append(obs, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{
-			Label: fmt.Sprintf("maxbips-%.2f", frac), Chip: cmp,
-		}))
-	}
-	s, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: o.Epochs, BudgetW: budget, Label: "maxbips",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
-}
-
-// adaptiveConfig builds the per-run adaptive-gain configuration for
-// -adaptive sweeps (nil when off), seeding the RLS estimator from the
-// sweep's calibrated plant gain.
-func adaptiveConfig(on bool, cal core.Calibration) *pic.AdaptiveConfig {
-	if !on {
-		return nil
-	}
-	return &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
-}
-
-func makePolicy(name string) (gpm.Policy, error) {
-	switch name {
-	case "equal":
-		return gpm.EqualShare{}, nil
-	case "variation":
-		return &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7}, nil
-	case "thermal":
-		fp, err := thermal.Grid(2, 4)
-		if err != nil {
-			return nil, err
-		}
-		return &gpm.ThermalAware{
-			Base: &gpm.PerformanceAware{}, Floorplan: fp,
-			AdjacentPairCap: 0.30, ConsecutiveLimit: 2,
-			SoloCap: 0.20, SoloConsecutiveLimit: 4,
-		}, nil
-	case "performance":
-		return &gpm.PerformanceAware{}, nil
-	case "mpc":
-		return &gpm.ModelPredictive{}, nil
-	case "cache":
-		return &gpm.CacheAware{}, nil
-	default:
-		return nil, fmt.Errorf("cpmsweep: unknown policy %q (want performance, equal, thermal, variation, mpc, cache)", name)
-	}
+	return check.Wire(cmp, p, extra...)
 }
 
 func parseBudgets(s string) ([]float64, error) {

@@ -24,7 +24,7 @@ import (
 // checkpoint lineage tree: every budget point forks from a root, and its
 // periodic checkpoints chain beneath it — the snapshot-tree generalization
 // of the linear warm-start fork.
-func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]sweepRow, error) {
+func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]engine.Summary, []*check.Suite, error) {
 	var warmManaged, warmBase []byte
 	var err error
 	tree := sweepd.NewTree()
@@ -33,38 +33,44 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 	bcfg.InitialLevel = -1
 	if o.WarmStart {
 		if warmManaged, err = warmChipSnapshot(cfg, o.Warm); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if warmBase, err = warmChipSnapshot(bcfg, o.Warm); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if rootManaged, err = tree.Add(-1, "warm:managed", o.Warm*20, warmManaged); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if rootBase, err = tree.Add(-1, "warm:unmanaged", o.Warm*20, warmBase); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
 			o.Warm, len(o.Fracs))
 	}
 
-	// Point layout: 0 = unmanaged baseline, then per budget a CPM and a
-	// MaxBIPS point. Names carry the index so repeated fracs stay unique
-	// (names are checkpoint fingerprints).
-	nPts := 1 + 2*len(o.Fracs)
+	// Names carry the point index so repeated fracs stay unique (names are
+	// checkpoint fingerprints).
+	nPts := numPoints(o)
 	pts := make([]sweepd.Point, nPts)
 	base := make([]int, nPts)
 	suites := make([]*check.Suite, nPts) // final incarnation per point
-	// point builds one incarnation of point i: a fresh chip (forked from
-	// the warm snapshot when there is one) carrying the point's stack.
-	point := func(i int, name string, cfg sim.Config, warmState []byte,
-		fn func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error)) sweepd.Point {
-		return sweepd.Point{Name: name, Build: func() (*sweepd.Instance, error) {
-			cmp, warm, err := forkWarmChip(cfg, warmState, o.Warm)
+	for i := range pts {
+		i := i
+		name, pcfg, warmState := "unmanaged", bcfg, warmBase
+		base[i] = rootBase
+		if i > 0 {
+			pi := (i - 1) / 2
+			name, pcfg, warmState = fmt.Sprintf("%s-%d-%.2f", pointKind(i), pi, o.Fracs[pi]), cfg, warmManaged
+			base[i] = rootManaged
+		}
+		// Each Build is one incarnation of the point: a fresh chip (forked
+		// from the warm snapshot when there is one) carrying its stack.
+		pts[i] = sweepd.Point{Name: name, Build: func() (*sweepd.Instance, error) {
+			cmp, warm, err := forkWarmChip(pcfg, warmState, o.Warm)
 			if err != nil {
 				return nil, err
 			}
-			sess, suite, err := fn(cmp, warm)
+			sess, suite, err := wirePoint(cmp, o, cal, i, warm)
 			if err != nil {
 				return nil, err
 			}
@@ -75,24 +81,6 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 			}
 			return inst, nil
 		}}
-	}
-	pts[0] = point(0, "unmanaged", bcfg, warmBase, func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
-		return buildUnmanaged(cmp, o, warm)
-	})
-	base[0] = rootBase
-	for pi, frac := range o.Fracs {
-		pi, frac := pi, frac
-		budget := cal.BudgetW(frac)
-		idxCPM, idxMB := 1+2*pi, 2+2*pi
-		pts[idxCPM] = point(idxCPM, fmt.Sprintf("cpm-%d-%.2f", pi, frac), cfg, warmManaged,
-			func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
-				return buildCPM(cmp, o, cal, frac, warm)
-			})
-		pts[idxMB] = point(idxMB, fmt.Sprintf("maxbips-%d-%.2f", pi, frac), cfg, warmManaged,
-			func(cmp *sim.CMP, warm int) (*engine.Session, *check.Suite, error) {
-				return buildMaxBIPS(cmp, o, budget, frac, warm)
-			})
-		base[idxCPM], base[idxMB] = rootManaged, rootManaged
 	}
 
 	c, err := sweepd.New(pts, sweepd.Config{
@@ -105,48 +93,19 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 		TreeBase:        base,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sums, err := c.Run()
 	st := c.Stats()
 	fmt.Fprintf(logw, "resilient sweep: %d points, %d checkpoints (%d bytes total, %d max), %d kills, %d migrations (%d resumed from checkpoints)\n",
 		nPts, st.Checkpoints, st.CheckpointBytes, st.MaxCheckpointBytes, st.Kills, st.Migrations, st.Restores)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// The coordinator's boundary checks catch mid-run violations; this
-	// final pass covers the tail intervals after the last boundary check,
-	// with the same wrapping as the farm route.
-	for pi, frac := range o.Fracs {
-		budget := cal.BudgetW(frac)
-		if s := suites[1+2*pi]; s != nil {
-			if err := s.Err(); err != nil {
-				return nil, fmt.Errorf("budget %.2f W: %w", budget, err)
-			}
-		}
-		if s := suites[2+2*pi]; s != nil {
-			if err := s.Err(); err != nil {
-				return nil, fmt.Errorf("maxbips budget %.2f W: %w", budget, err)
-			}
-		}
-	}
-	if s := suites[0]; s != nil {
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	rows := make([]sweepRow, len(o.Fracs))
-	baseSum := sums[0]
-	for pi, frac := range o.Fracs {
-		ours, mb := sums[1+2*pi], sums[2+2*pi]
-		rows[pi] = sweepRow{
-			frac: frac, budgetW: cal.BudgetW(frac),
-			oursPowerW: ours.MeanPowerW, oursDegr: engine.Degradation(ours, baseSum),
-			maxbipsPowerW: mb.MeanPowerW, maxbipsDegr: engine.Degradation(mb, baseSum),
-		}
-	}
-	return rows, nil
+	// The coordinator's boundary checks catch mid-run violations; sweep's
+	// final pass over the suites covers the tail intervals after the last
+	// boundary check.
+	return sums, suites, nil
 }
 
 // warmChipSnapshot steps a fresh unmanaged chip through the warm-up window

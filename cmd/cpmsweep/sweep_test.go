@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/core"
+	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -209,18 +210,6 @@ func TestSweepChecked(t *testing.T) {
 	}
 }
 
-func TestMakePolicyNames(t *testing.T) {
-	for _, name := range []string{"performance", "equal", "variation", "thermal", "mpc", "cache"} {
-		p, err := makePolicy(name)
-		if err != nil || p == nil {
-			t.Errorf("makePolicy(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := makePolicy("nope"); err == nil {
-		t.Error("makePolicy(\"nope\") accepted an unknown policy name")
-	}
-}
-
 // BenchmarkPoolSweep compares a serial 8-point farm sweep against the
 // pooled executor, one sampler group per point so the pool has groups to
 // spread. Calibration is shared setup; island-level parallelism is disabled
@@ -241,7 +230,7 @@ func BenchmarkPoolSweep(b *testing.B) {
 		o.Workers = workers
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sweepFarm(cfg, cal, o, io.Discard); err != nil {
+			if _, _, err := sweepFarm(cfg, cal, o, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -328,4 +317,25 @@ func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 		t.Skip("pinned warm-started farm sweeps in -short mode")
 	}
 	checkPinnedRoutes(t, pinnedWarmstartCSV, farmRoutes("-warmstart"))
+}
+
+// TestSweepTelemetryParity: the CPM points of a sweep export the chip and
+// PIC series the observer discovers from the session, like every other
+// route.
+func TestSweepTelemetryParity(t *testing.T) {
+	o := testOptions(1)
+	o.Fracs = []float64{0.8}
+	o.Metrics = metrics.NewRegistry()
+	if err := sweep(o, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range o.Metrics.Gather() {
+		have[f.Name] = true
+	}
+	for _, name := range []string{"cpm_island_level_residency_intervals_total", "cpm_cache_hits_total", "cpm_pic_integrator"} {
+		if !have[name] {
+			t.Errorf("sweep telemetry lacks %s", name)
+		}
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/sim"
@@ -127,7 +128,7 @@ func replay(args []string) error {
 	}
 	cfg := sim.DefaultConfig(mix)
 	cfg.Parallel = true
-	cal, err := core.Calibrate(cfg, 60, 240)
+	cal, err := core.CalibrateCached(cfg)
 	if err != nil {
 		return err
 	}
@@ -136,13 +137,11 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	c, err := core.New(cmp, core.Config{BudgetW: cal.BudgetW(*budget), Transducers: cal.Transducers})
-	if err != nil {
-		return err
-	}
 	rec := trace.NewRecorder("GPM epoch")
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: 6, MeasureEpochs: *epochs, BudgetW: cal.BudgetW(*budget), Label: "replay",
+	s, _, err := check.Wire(cmp, check.Plan{
+		Kind:    check.CPM,
+		Core:    core.Config{BudgetW: cal.BudgetW(*budget), Transducers: cal.Transducers},
+		Session: engine.SessionConfig{WarmEpochs: 6, MeasureEpochs: *epochs, Label: "replay"},
 	}, rec)
 	if err != nil {
 		return err

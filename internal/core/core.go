@@ -203,6 +203,10 @@ func (c *CPM) Manager() *gpm.Manager { return c.mgr }
 // hooks (see pic.Controller.SetInvokeHook).
 func (c *CPM) PIC(i int) *pic.Controller { return c.pic[i] }
 
+// PICs returns every island's controller, in island order (live slice;
+// callers must not modify).
+func (c *CPM) PICs() []*pic.Controller { return c.pic }
+
 // AllocW returns the current per-island provisions in watts (live slice;
 // callers must not modify).
 func (c *CPM) AllocW() []float64 { return c.alloc }

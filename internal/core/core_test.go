@@ -10,22 +10,16 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// calOnce caches the default-mix calibration: it is the expensive common
-// fixture of most tests here.
-var calCache = map[string]Calibration{}
-
+// calibrated returns the mix's chip configuration and its calibration, the
+// expensive common fixture of most tests here (cached for the process).
 func calibrated(t *testing.T, mix workload.Mix) (sim.Config, Calibration) {
 	t.Helper()
 	cfg := sim.DefaultConfig(mix)
 	cfg.Parallel = true
-	if c, ok := calCache[mix.Name]; ok {
-		return cfg, c
-	}
-	cal, err := Calibrate(cfg, 60, 240)
+	cal, err := CalibrateCached(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calCache[mix.Name] = cal
 	return cfg, cal
 }
 

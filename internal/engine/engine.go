@@ -20,6 +20,11 @@
 //     to serial execution.
 package engine
 
+import (
+	"github.com/cpm-sim/cpm/internal/pic"
+	"github.com/cpm-sim/cpm/internal/sim"
+)
+
 // RunInfo describes a session to observers at run start.
 type RunInfo struct {
 	// Label names the run in reports ("cpm", "maxbips", "unmanaged", or a
@@ -37,6 +42,12 @@ type RunInfo struct {
 	BudgetW float64
 	// IntervalSec is the simulation interval length.
 	IntervalSec float64
+	// Chip is the simulated chip, for observers that read it directly
+	// (cache counters, DVFS table depths).
+	Chip *sim.CMP
+	// PICs are the per-island controllers of a CPM run, in island order
+	// (nil for unmanaged and MaxBIPS runs).
+	PICs []*pic.Controller
 }
 
 // minBaselineInstr is the smallest baseline instruction count a

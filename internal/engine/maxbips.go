@@ -110,23 +110,16 @@ func StaticPredictionTable(cmp *sim.CMP) [][]float64 {
 	return out
 }
 
-// NewPlanner builds an observation-driven (adaptive) MaxBIPS planner over
-// the chip's own per-island tables, so heterogeneous chips are planned on
-// the right axes.
-func NewPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
+// NewStaticPlanner builds the static-table MaxBIPS planner for a chip —
+// one planning table per island, so heterogeneous chips are planned on the
+// right axes, plus the StaticPredictionTable. It is the paper's comparison
+// setup and the only MaxBIPS planner the drivers build.
+func NewStaticPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
 	tables := make([]*power.DVFSTable, cmp.NumIslands())
 	for i := range tables {
 		tables[i] = cmp.IslandTable(i)
 	}
-	return maxbips.NewPerIsland(tables)
-}
-
-// NewStaticPlanner builds the static-table MaxBIPS planner for a chip —
-// one planning table per island plus the StaticPredictionTable — the one
-// constructor every driver (sweep, farm, serve, experiments) should use so
-// heterogeneous chips are planned on the right axes.
-func NewStaticPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
-	planner, err := NewPlanner(cmp)
+	planner, err := maxbips.NewPerIsland(tables)
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func NewSession(r Runner, cfg SessionConfig, obs ...Observer) (*Session, error) 
 // Info describes the run the session performs.
 func (s *Session) Info() RunInfo {
 	cmp := s.runner.Chip()
-	return RunInfo{
+	info := RunInfo{
 		Label:            s.cfg.Label,
 		Islands:          cmp.NumIslands(),
 		Cores:            cmp.NumCores(),
@@ -118,7 +118,12 @@ func (s *Session) Info() RunInfo {
 		MeasureIntervals: s.cfg.MeasureEpochs * s.cfg.Period,
 		BudgetW:          s.cfg.BudgetW,
 		IntervalSec:      cmp.IntervalSec(),
+		Chip:             cmp,
 	}
+	if r, ok := s.runner.(*CPMRunner); ok {
+		info.PICs = r.ctl.PICs()
+	}
+	return info
 }
 
 // Started reports whether the session has begun stepping (or was restored

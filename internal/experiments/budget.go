@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -43,11 +44,11 @@ func runFig11(o Options) (Result, error) {
 	maxbipsAlwaysBelow := true
 	for _, frac := range budgetSweep {
 		budget := cal.BudgetW(frac)
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: budget, warmEpochs: 6, measEpochs: meas, opts: o})
+		ours, err := runPlan(cfg, plan(check.CPM, cal, budget, 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
-		mb, err := runMaxBIPS(cfg, budget, 20, 6, meas, true, o)
+		mb, err := runPlan(cfg, plan(check.MaxBIPS, cal, budget, 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -100,7 +101,7 @@ func runFig12(o Options) (Result, error) {
 		return Result{}, err
 	}
 	meas := o.epochs(16)
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,7 +109,7 @@ func runFig12(o Options) (Result, error) {
 	var rows [][]string
 	degr := map[float64]float64{}
 	for _, frac := range budgetSweep {
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+		ours, err := runPlan(cfg, plan(check.CPM, cal, cal.BudgetW(frac), 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -141,12 +142,12 @@ func runFig14(o Options) (Result, error) {
 		return Result{}, err
 	}
 	meas := o.epochs(24)
-	ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(1.0), warmEpochs: 6, measEpochs: meas, opts: o})
+	ours, err := runPlan(cfg, plan(check.CPM, cal, cal.BudgetW(1.0), 6, meas), o)
 	if err != nil {
 		return Result{}, err
 	}
 	// Unmanaged over the identical window (same seed, so epochs align).
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 	if err != nil {
 		return Result{}, err
 	}

@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/metrics"
@@ -32,8 +31,9 @@ type Options struct {
 	Quick bool
 	// Check attaches the internal/check invariant suite to every run the
 	// harness executes; a violation fails the harness with a structured
-	// report. Fault-injection runs keep every check except budget
-	// conservation, which the injected fault deliberately breaks.
+	// report. A stuck-island fault plan drops budget conservation, which a
+	// pinned actuator breaks by construction; every other fault plan keeps
+	// the whole suite (check.Wire).
 	Check bool
 	// Metrics, when non-nil, attaches a metrics.Observer to every run the
 	// harness executes, aggregating its telemetry into the registry. Runs
@@ -131,22 +131,8 @@ func ByID(id string) (Definition, error) {
 
 // --- shared setup -----------------------------------------------------------
 
-// calKey caches calibrations, which dominate harness cost and are identical
-// across the many experiments sharing a (mix, seed, interval) combination.
-type calKey struct {
-	mix      string
-	seed     uint64
-	interval float64
-	cores    int
-}
-
-var (
-	calMu    sync.Mutex
-	calCache = map[calKey]core.Calibration{}
-)
-
 // setup builds the simulator config for a mix and returns it with its
-// (cached) calibration.
+// (process-cached) calibration.
 func setup(mix workload.Mix, o Options, intervalSec float64) (sim.Config, core.Calibration, error) {
 	cfg := sim.DefaultConfig(mix)
 	cfg.Seed = o.seed()
@@ -154,19 +140,9 @@ func setup(mix workload.Mix, o Options, intervalSec float64) (sim.Config, core.C
 	if intervalSec > 0 {
 		cfg.IntervalSec = intervalSec
 	}
-	key := calKey{mix: mix.Name, seed: cfg.Seed, interval: cfg.IntervalSec, cores: mix.Cores()}
-	calMu.Lock()
-	cal, ok := calCache[key]
-	calMu.Unlock()
-	if !ok {
-		var err error
-		cal, err = core.Calibrate(cfg, 60, 240)
-		if err != nil {
-			return sim.Config{}, core.Calibration{}, err
-		}
-		calMu.Lock()
-		calCache[key] = cal
-		calMu.Unlock()
+	cal, err := core.CalibrateCached(cfg)
+	if err != nil {
+		return sim.Config{}, core.Calibration{}, err
 	}
 	return cfg, cal, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/trace"
@@ -48,10 +49,9 @@ func runExt1(o Options) (Result, error) {
 	set := trace.NewSet("performance floor (% of unmanaged)")
 	metrics := map[string]float64{}
 	for _, floor := range []float64{0.85, 0.90, 0.95} {
-		policy := &gpm.EnergyAware{FloorBIPS: floor * cal.UnmanagedBIPS}
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: cal.BudgetW(1.0), policy: policy, warmEpochs: 8, measEpochs: meas, opts: o,
-		})
+		p := plan(check.CPM, cal, cal.BudgetW(1.0), 8, meas)
+		p.Core.Policy = &gpm.EnergyAware{FloorBIPS: floor * cal.UnmanagedBIPS}
+		sum, err := runPlan(cfg, p, o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -103,9 +103,9 @@ func runExt2(o Options) (Result, error) {
 	var rows [][]string
 	metrics := map[string]float64{}
 	for i, cse := range cases {
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: budget, warmEpochs: 7, measEpochs: meas, faults: cse.plan, opts: o,
-		})
+		p := plan(check.CPM, cal, budget, 7, meas)
+		p.Core.Faults = cse.plan
+		sum, err := runPlan(cfg, p, o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -135,15 +135,14 @@ func runExt3(o Options) (Result, error) {
 	}
 	budget := cal.BudgetW(0.8)
 	meas := o.epochs(16)
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 	if err != nil {
 		return Result{}, err
 	}
 	run := func(exponent float64) (float64, float64, error) {
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: budget, warmEpochs: 6, measEpochs: meas, opts: o,
-			policy: &gpm.PerformanceAware{PowerExponent: exponent},
-		})
+		p := plan(check.CPM, cal, budget, 6, meas)
+		p.Core.Policy = &gpm.PerformanceAware{PowerExponent: exponent}
+		sum, err := runPlan(cfg, p, o)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/sim"
-	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -28,23 +28,6 @@ func init() {
 	})
 }
 
-// thermalPolicyFor builds the Figure 18 constraint set over the 2x4
-// floorplan of single-core islands.
-func thermalPolicyFor() (*gpm.ThermalAware, error) {
-	fp, err := thermal.Grid(2, 4)
-	if err != nil {
-		return nil, err
-	}
-	return &gpm.ThermalAware{
-		Base:                 &gpm.PerformanceAware{},
-		Floorplan:            fp,
-		AdjacentPairCap:      0.30,
-		ConsecutiveLimit:     2,
-		SoloCap:              0.20,
-		SoloConsecutiveLimit: 4,
-	}, nil
-}
-
 func runFig18(o Options) (Result, error) {
 	mix := workload.ThermalMix()
 	cfg, cal, err := setup(mix, o, 0)
@@ -60,37 +43,35 @@ func runFig18(o Options) (Result, error) {
 	const budgetFrac = 0.5
 	budget := cal.BudgetW(budgetFrac)
 
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 	if err != nil {
 		return Result{}, err
 	}
-	perf, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.PerformanceAware{}, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	perf, err := runPolicy(cfg, cal, budget, meas, "performance", o)
 	if err != nil {
 		return Result{}, err
 	}
-	thermalPolicy, err := thermalPolicyFor()
+	therm, err := runPolicy(cfg, cal, budget, meas, "thermal", o)
 	if err != nil {
 		return Result{}, err
 	}
-	therm, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: thermalPolicy, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	// Count violations with fresh constraint checkers: policies carry
+	// streak history.
+	violations := func(allocs [][]float64) (int, error) {
+		checker, err := gpm.ByName("thermal")
+		if err != nil {
+			return 0, err
+		}
+		return checker.(*gpm.ThermalAware).Violations(budget, allocs), nil
+	}
+	perfViolations, err := violations(perf.AllocTrace)
 	if err != nil {
 		return Result{}, err
 	}
-
-	checker, err := thermalPolicyFor()
+	thermViolations, err := violations(therm.AllocTrace)
 	if err != nil {
 		return Result{}, err
 	}
-	perfViolations := checker.Violations(budget, perf.AllocTrace)
-	checker2, err := thermalPolicyFor()
-	if err != nil {
-		return Result{}, err
-	}
-	thermViolations := checker2.Violations(budget, therm.AllocTrace)
 	violFrac := 0.0
 	if len(perf.AllocTrace) > 0 {
 		violFrac = float64(perfViolations) / float64(len(perf.AllocTrace))
@@ -133,7 +114,7 @@ func runFig19(o Options) (Result, error) {
 	cfg.Seed = o.seed()
 	cfg.Parallel = true
 	cfg.Variation = variation.PaperIslands(2)
-	cal, err := calibrateFor(cfg)
+	cal, err := core.CalibrateCached(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -141,16 +122,11 @@ func runFig19(o Options) (Result, error) {
 	const budgetFrac = 0.8
 	budget := cal.BudgetW(budgetFrac)
 
-	perf, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.PerformanceAware{}, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	perf, err := runPolicy(cfg, cal, budget, meas, "performance", o)
 	if err != nil {
 		return Result{}, err
 	}
-	va, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7},
-		warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	va, err := runPolicy(cfg, cal, budget, meas, "variation", o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,23 +169,14 @@ func runFig19(o Options) (Result, error) {
 	}, nil
 }
 
-// calibrateFor runs (and caches) a calibration for an explicit simulator
-// configuration, for experiments whose chip differs from the plain mix
-// (e.g. process variation applied).
-func calibrateFor(cfg sim.Config) (core.Calibration, error) {
-	key := calKey{mix: cfg.Mix.Name + "+var", seed: cfg.Seed, interval: cfg.IntervalSec, cores: cfg.Mix.Cores()}
-	calMu.Lock()
-	cal, ok := calCache[key]
-	calMu.Unlock()
-	if ok {
-		return cal, nil
-	}
-	cal, err := core.Calibrate(cfg, 60, 240)
+// runPolicy runs CPM under the named policy (gpm.ByName) for 6 warm and
+// meas measured epochs.
+func runPolicy(cfg sim.Config, cal core.Calibration, budget float64, meas int, policy string, o Options) (runSummary, error) {
+	p := plan(check.CPM, cal, budget, 6, meas)
+	pol, err := gpm.ByName(policy)
 	if err != nil {
-		return core.Calibration{}, err
+		return runSummary{}, err
 	}
-	calMu.Lock()
-	calCache[key] = cal
-	calMu.Unlock()
-	return cal, nil
+	p.Core.Policy = pol
+	return runPlan(cfg, p, o)
 }

@@ -6,9 +6,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
-	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/metrics"
-	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
 )
 
@@ -16,197 +14,45 @@ import (
 // aggregated this by hand in three bespoke loops.
 type runSummary = engine.Summary
 
-// cpmParams configures a managed run.
-type cpmParams struct {
-	budgetW     float64
-	policy      gpm.Policy
-	gpmPeriod   int
-	warmEpochs  int
-	measEpochs  int
-	keepSteps   bool
-	oraclePower bool
-	faults      *core.FaultPlan
-	// adaptive runs the PICs with the adaptive-gain estimator.
-	adaptive *pic.AdaptiveConfig
-	// observers watch the run as it executes (engine.Observer fan-out).
-	observers []engine.Observer
-	// opts carries the harness Options through to the run: Check attaches
-	// the standard invariant suite and fails the run on any violation;
-	// Metrics attaches a telemetry observer writing into the registry.
-	opts Options
-}
-
-// metricsObserver builds the telemetry observer for a run, or nil when the
-// harness was not given a registry.
-func metricsObserver(reg *metrics.Registry, label string, cmp *sim.CMP, pics []*pic.Controller) engine.Observer {
-	if reg == nil {
-		return nil
+// plan is the stack most experiment runs use: kind at budgetW with the
+// calibrated transducers, warm and meas GPM epochs long. Callers adjust
+// the rest (policy, faults, period) on the returned copy.
+func plan(kind check.Kind, cal core.Calibration, budgetW float64, warm, meas int) check.Plan {
+	return check.Plan{
+		Kind:    kind,
+		Core:    core.Config{BudgetW: budgetW, Transducers: cal.Transducers},
+		Session: engine.SessionConfig{WarmEpochs: warm, MeasureEpochs: meas},
 	}
-	return metrics.NewObserver(reg, metrics.ObserverOptions{Label: label, Chip: cmp, PICs: pics})
 }
 
-// runCPM executes a CPM-managed run and summarises its measurement window.
-func runCPM(cfg sim.Config, cal core.Calibration, p cpmParams) (runSummary, error) {
+// runPlan builds a fresh chip from cfg, wires p's stack onto it and runs it to
+// completion. The harness Options decide the rest: Check attaches the
+// invariant suite and fails the run on any violation, Metrics a telemetry
+// observer labelled by kind and budget. extra observers watch the run too.
+func runPlan(cfg sim.Config, p check.Plan, o Options, extra ...engine.Observer) (runSummary, error) {
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return runSummary{}, err
 	}
-	period := p.gpmPeriod
-	if period <= 0 {
-		period = 20
+	name := p.Kind.String()
+	if b := p.Core.BudgetW; b > 0 {
+		name = fmt.Sprintf("%s-%.2fW", name, b)
 	}
-	c, err := core.New(cmp, core.Config{
-		BudgetW:        p.budgetW,
-		Policy:         p.policy,
-		GPMPeriod:      period,
-		Transducers:    cal.Transducers,
-		UseOraclePower: p.oraclePower,
-		Faults:         p.faults,
-		Adaptive:       p.adaptive,
-	})
-	if err != nil {
-		return runSummary{}, err
+	if o.Metrics != nil {
+		extra = append(extra, metrics.NewObserver(o.Metrics, metrics.ObserverOptions{Label: name}))
 	}
-	obs := append([]engine.Observer(nil), p.observers...)
-	var suite *check.Suite
-	if p.opts.Check {
-		ccfg := check.ForChip(cmp, p.budgetW)
-		if p.faults != nil {
-			// The injected fault deliberately breaks provisioning; every
-			// other invariant must still hold under it.
-			ccfg.BudgetW = 0
-		}
-		suite = check.ForCPMWithConfig(c, ccfg)
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(p.opts.Metrics, fmt.Sprintf("cpm-%.2fW", p.budgetW), cmp, picsOf(cmp, c)); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs:    p.warmEpochs,
-		MeasureEpochs: p.measEpochs,
-		Period:        period,
-		BudgetW:       p.budgetW,
-		KeepSteps:     p.keepSteps,
-		Label:         "cpm",
-	}, obs...)
+	p.Check = o.Check
+	s, suite, err := check.Wire(cmp, p, extra...)
 	if err != nil {
 		return runSummary{}, err
 	}
 	sum := s.Run()
 	if suite != nil {
 		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("cpm run (budget %.1f W): %w", p.budgetW, err)
+			return sum, fmt.Errorf("%s run: %w", name, err)
 		}
 	}
 	return sum, nil
-}
-
-// runMaxBIPS executes the MaxBIPS baseline: every GPM period the planner
-// picks the level combination maximizing predicted BIPS under the budget.
-// With static true (the paper's setup, used by every comparison figure),
-// predictions come from a workload-blind static characterization table; the
-// adaptive mode predicts from last-epoch per-island observations (the
-// original Isci et al. formulation) and is kept for ablations.
-func runMaxBIPS(cfg sim.Config, budgetW float64, gpmPeriod, warmEpochs, measEpochs int, static bool, o Options) (runSummary, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return runSummary{}, err
-	}
-	planner, err := engine.NewPlanner(cmp)
-	if err != nil {
-		return runSummary{}, err
-	}
-	if static {
-		if err := planner.SetStaticTable(engine.StaticPredictionTable(cmp)); err != nil {
-			return runSummary{}, err
-		}
-	}
-	period := gpmPeriod
-	if period <= 0 {
-		period = 20
-	}
-	r, err := engine.NewMaxBIPSRunner(cmp, planner, budgetW, period)
-	if err != nil {
-		return runSummary{}, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		// MaxBIPS plans open-loop from predictions; realized power
-		// overshooting the budget is the paper's result for it, not a bug,
-		// so its budget tolerance is widened to the reported ~20%.
-		ccfg := check.ForChip(cmp, budgetW)
-		ccfg.BudgetTolFrac = 0.25
-		ccfg.IslandTolFrac = 0.25
-		suite = check.All(ccfg)
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(o.Metrics, fmt.Sprintf("maxbips-%.2fW", budgetW), cmp, nil); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs:    warmEpochs,
-		MeasureEpochs: measEpochs,
-		Period:        period,
-		BudgetW:       budgetW,
-		Label:         "maxbips",
-	}, obs...)
-	if err != nil {
-		return runSummary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("maxbips run (budget %.1f W): %w", budgetW, err)
-		}
-	}
-	return sum, nil
-}
-
-// runUnmanagedWindow measures the no-power-management baseline over exactly
-// the same interval window as a managed run (same seed, same phases), so
-// instruction counts are directly comparable.
-func runUnmanagedWindow(cfg sim.Config, warmEpochs, measEpochs, gpmPeriod int, o Options) (runSummary, error) {
-	cfg.InitialLevel = -1
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return runSummary{}, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		suite = check.All(check.ForChip(cmp, 0))
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(o.Metrics, "unmanaged", cmp, nil); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-		WarmEpochs:    warmEpochs,
-		MeasureEpochs: measEpochs,
-		Period:        gpmPeriod,
-		Label:         "unmanaged",
-	}, obs...)
-	if err != nil {
-		return runSummary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("unmanaged run: %w", err)
-		}
-	}
-	return sum, nil
-}
-
-// picsOf collects the managed chip's per-island controllers for telemetry.
-func picsOf(cmp *sim.CMP, c *core.CPM) []*pic.Controller {
-	out := make([]*pic.Controller, cmp.NumIslands())
-	for i := range out {
-		out[i] = c.PIC(i)
-	}
-	return out
 }
 
 // degradation returns the throughput loss of run vs baseline as a fraction.

@@ -57,11 +57,21 @@ func TestOptionsMetricsRecordsTelemetry(t *testing.T) {
 	if !strings.Contains(out, "cpm_intervals_total") {
 		t.Errorf("no telemetry recorded:\n%s", out)
 	}
-	// runCPM labels its runs by the absolute budget, e.g. cpm-24.00W.
+	// runPlan labels its runs by the absolute budget, e.g. cpm-24.00W.
 	if !strings.Contains(out, `run="cpm-`) {
 		t.Errorf("cpm run label missing:\n%s", out)
 	}
 	if _, err := metrics.ParsePrometheus(strings.NewReader(out)); err != nil {
 		t.Errorf("experiment telemetry does not round-trip: %v", err)
+	}
+	// CPM runs export the chip and PIC series, as on every other route.
+	have := map[string]bool{}
+	for _, f := range reg.Gather() {
+		have[f.Name] = true
+	}
+	for _, name := range []string{"cpm_island_level_residency_intervals_total", "cpm_cache_hits_total", "cpm_pic_integrator"} {
+		if !have[name] {
+			t.Errorf("experiment telemetry lacks %s", name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -50,15 +51,15 @@ func runFig13(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+		base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(budgetFrac), warmEpochs: 6, measEpochs: meas, opts: o})
+		ours, err := runPlan(cfg, plan(check.CPM, cal, cal.BudgetW(budgetFrac), 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
-		mb, err := runMaxBIPS(cfg, cal.BudgetW(budgetFrac), 20, 6, meas, true, o)
+		mb, err := runPlan(cfg, plan(check.MaxBIPS, cal, cal.BudgetW(budgetFrac), 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
@@ -99,16 +100,16 @@ func runFig15(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+		base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 		if err != nil {
 			return Result{}, err
 		}
 		for _, frac := range budgets {
-			ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+			ours, err := runPlan(cfg, plan(check.CPM, cal, cal.BudgetW(frac), 6, meas), o)
 			if err != nil {
 				return Result{}, err
 			}
-			mb, err := runMaxBIPS(cfg, cal.BudgetW(frac), 20, 6, meas, true, o)
+			mb, err := runPlan(cfg, plan(check.MaxBIPS, cal, cal.BudgetW(frac), 6, meas), o)
 			if err != nil {
 				return Result{}, err
 			}
@@ -149,11 +150,11 @@ func runFig16(o Options) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+			base, err := runPlan(cfg, plan(check.Unmanaged, cal, 0, 6, meas), o)
 			if err != nil {
 				return Result{}, err
 			}
-			ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+			ours, err := runPlan(cfg, plan(check.CPM, cal, cal.BudgetW(frac), 6, meas), o)
 			if err != nil {
 				return Result{}, err
 			}
@@ -198,14 +199,15 @@ func runFig17(o Options) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			base, err := runUnmanagedWindow(cfg, 6, meas, period, o)
+			bp := plan(check.Unmanaged, cal, 0, 6, meas)
+			bp.Core.GPMPeriod = period
+			base, err := runPlan(cfg, bp, o)
 			if err != nil {
 				return Result{}, err
 			}
-			ours, err := runCPM(cfg, cal, cpmParams{
-				budgetW: cal.BudgetW(budgetFrac), gpmPeriod: period,
-				warmEpochs: 6, measEpochs: meas, opts: o,
-			})
+			p := plan(check.CPM, cal, cal.BudgetW(budgetFrac), 6, meas)
+			p.Core.GPMPeriod = period
+			ours, err := runPlan(cfg, p, o)
 			if err != nil {
 				return Result{}, err
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/trace"
@@ -62,14 +63,14 @@ func runScorecard(o Options) (Result, error) {
 	type config struct {
 		key      string
 		label    string
-		policy   func() gpm.Policy
+		policy   string // gpm.ByName; empty is the default policy
 		adaptive bool
 	}
 	configs := []config{
-		{key: "fixed", label: "fixed-gain PIC (baseline)", policy: nil},
-		{key: "adaptive", label: "adaptive-gain PIC", policy: nil, adaptive: true},
-		{key: "mpc", label: "MPC-style GPM", policy: func() gpm.Policy { return &gpm.ModelPredictive{} }},
-		{key: "cache", label: "cache-aware GPM", policy: func() gpm.Policy { return &gpm.CacheAware{} }},
+		{key: "fixed", label: "fixed-gain PIC (baseline)"},
+		{key: "adaptive", label: "adaptive-gain PIC", adaptive: true},
+		{key: "mpc", label: "MPC-style GPM", policy: "mpc"},
+		{key: "cache", label: "cache-aware GPM", policy: "cache"},
 	}
 
 	var b strings.Builder
@@ -86,14 +87,16 @@ func runScorecard(o Options) (Result, error) {
 		set := trace.NewSet("epoch")
 		var rows [][]string
 		for _, cc := range configs {
-			p := cpmParams{budgetW: budget, warmEpochs: 0, measEpochs: meas, opts: o}
-			if cc.policy != nil {
-				p.policy = cc.policy()
+			p := plan(check.CPM, cal, budget, 0, meas)
+			if cc.policy != "" {
+				if p.Core.Policy, err = gpm.ByName(cc.policy); err != nil {
+					return Result{}, err
+				}
 			}
 			if cc.adaptive {
-				p.adaptive = &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
+				p.Core.Adaptive = &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
 			}
-			sum, err := runCPM(cfg, cal, p)
+			sum, err := runPlan(cfg, p, o)
 			if err != nil {
 				return Result{}, err
 			}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
+	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
@@ -87,7 +89,7 @@ func runTechNode(o Options) (Result, error) {
 
 		bestSplit, bestBIPS, equalBIPS := 0.0, -1.0, 0.0
 		for _, s := range splits {
-			bips, err := runSplit(cfg, budget, s, classes, warm, meas)
+			bips, err := runSplit(cfg, budget, s, classes, warm, meas, o)
 			if err != nil {
 				return Result{}, fmt.Errorf("technode %s split %.2f: %w", label, s, err)
 			}
@@ -129,26 +131,15 @@ func runTechNode(o Options) (Result, error) {
 
 // runSplit runs one (node, split) point: CPM with the fixed-split policy
 // in the oracle-power ablation, returning the mean measured-epoch BIPS.
-func runSplit(cfg sim.Config, budgetW, bigFrac float64, classes []power.CoreClass, warmEpochs, measEpochs int) (float64, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	ctl, err := core.New(cmp, core.Config{
-		BudgetW:        budgetW,
-		Policy:         splitPolicy{bigFrac: bigFrac, classes: classes},
-		UseOraclePower: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	for k := 0; k < warmEpochs*20; k++ {
-		ctl.Step()
-	}
-	var bips float64
-	n := measEpochs * 20
-	for k := 0; k < n; k++ {
-		bips += ctl.Step().Sim.TotalBIPS
-	}
-	return bips / float64(n), nil
+func runSplit(cfg sim.Config, budgetW, bigFrac float64, classes []power.CoreClass, warmEpochs, measEpochs int, o Options) (float64, error) {
+	sum, err := runPlan(cfg, check.Plan{
+		Kind: check.CPM,
+		Core: core.Config{
+			BudgetW:        budgetW,
+			Policy:         splitPolicy{bigFrac: bigFrac, classes: classes},
+			UseOraclePower: true,
+		},
+		Session: engine.SessionConfig{WarmEpochs: warmEpochs, MeasureEpochs: measEpochs},
+	}, o)
+	return sum.MeanBIPS, err
 }

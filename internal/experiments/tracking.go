@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/trace"
@@ -52,10 +53,7 @@ func runFig7(o Options) (Result, error) {
 			set.Get(fmt.Sprintf("Island%d", i+1)).Append(a / cal.UnmanagedPowerW * 100)
 		}
 	}}
-	if _, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(20), opts: o,
-		observers: []engine.Observer{obs},
-	}); err != nil {
+	if _, err := runPlan(cfg, plan(check.CPM, cal, budget, 6, o.epochs(20)), o, obs); err != nil {
 		return Result{}, err
 	}
 	var lo, hi float64 = math.Inf(1), math.Inf(-1)
@@ -93,9 +91,7 @@ func runFig8(o Options) (Result, error) {
 		return Result{}, err
 	}
 	budget := cal.BudgetW(0.8)
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(20), opts: o,
-	})
+	sum, err := runPlan(cfg, plan(check.CPM, cal, budget, 6, o.epochs(20)), o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -140,9 +136,9 @@ func runFig9(o Options) (Result, error) {
 		return Result{}, err
 	}
 	budget := cal.BudgetW(0.8)
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 8, measEpochs: o.epochs(12), keepSteps: true, opts: o,
-	})
+	p := plan(check.CPM, cal, budget, 8, o.epochs(12))
+	p.Session.KeepSteps = true
+	sum, err := runPlan(cfg, p, o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -262,10 +258,7 @@ func runFig10(o Options) (Result, error) {
 			worstUnder = -dev
 		}
 	}}
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(40), opts: o,
-		observers: []engine.Observer{obs},
-	})
+	sum, err := runPlan(cfg, plan(check.CPM, cal, budget, 6, o.epochs(40)), o, obs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"testing"
 
+	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -24,7 +25,8 @@ func TestResidencyCardinalityPerIsland(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewObserver(NewRegistry(), ObserverOptions{Label: "hetero", Chip: cmp})
+	o := NewObserver(NewRegistry(), ObserverOptions{Label: "hetero"})
+	o.RunStart(engine.RunInfo{Islands: cmp.NumIslands(), Chip: cmp})
 	if len(o.residency) != cmp.NumIslands() {
 		t.Fatalf("residency for %d islands, chip has %d", len(o.residency), cmp.NumIslands())
 	}

@@ -16,22 +16,16 @@ type ObserverOptions struct {
 	// writes. Runs sharing a registry should use distinct labels; counters
 	// under the same label accumulate across runs.
 	Label string
-	// Chip, when set, enables chip-level telemetry that needs direct
-	// simulator access: cache hit/miss counters and per-level DVFS
-	// residency (the DVFS table's depth is read from the chip).
-	Chip *sim.CMP
-	// PICs, when set, enables controller-state telemetry: integrator,
-	// continuous frequency state, target and estimated power fractions, and
-	// the tracking-error histogram (subscribed via AddInvokeHook, so other
-	// hooks on the same controllers are preserved).
-	PICs []*pic.Controller
 }
 
 // Observer is an engine.Observer that aggregates per-interval and per-epoch
-// telemetry of the two-tier control loop into a Registry. All instrument
-// handles are created up front (NewObserver / RunStart), so the per-step
-// path performs only atomic updates and allocates nothing — the interval
-// loop's 0 allocs/interval contract holds with the observer attached.
+// telemetry of the two-tier control loop into a Registry. It discovers the
+// run's chip and, on CPM runs, its PICs from engine.RunInfo: the chip
+// enables cache counters and per-level DVFS residency, the PICs the
+// controller-state series. All instrument handles are created up front
+// (NewObserver / RunStart), so the per-step path performs only atomic
+// updates and allocates nothing — the interval loop's 0 allocs/interval
+// contract holds with the observer attached.
 //
 // Step and epoch events are consumed synchronously and nothing handed to
 // the observer is retained, so the engine's live-slice contract
@@ -88,10 +82,9 @@ var cacheLevelNames = [3]string{"l1i", "l1d", "l2"}
 
 // NewObserver builds an observer writing into reg under opts.Label. Families
 // are registered (or found — registries are shared across runs) immediately;
-// per-island series are created now when a Chip or PICs are given, otherwise
-// at RunStart from the session's RunInfo.
+// per-island, chip and PIC series at RunStart from the session's RunInfo.
 func NewObserver(reg *Registry, opts ObserverOptions) *Observer {
-	o := &Observer{reg: reg, label: opts.Label, chip: opts.Chip, pics: opts.PICs}
+	o := &Observer{reg: reg, label: opts.Label}
 
 	o.intervals = reg.CounterVec("cpm_intervals_total",
 		"Simulated PIC intervals, warmup included.", "run").With(o.label)
@@ -120,22 +113,12 @@ func NewObserver(reg *Registry, opts ObserverOptions) *Observer {
 		"Per-invocation PIC tracking error |target − estimate| in island-max-power fractions.",
 		ExponentialBuckets(0.005, 2, 8), "run").With(o.label)
 
-	if opts.Chip != nil {
-		o.ensureIslands(opts.Chip.NumIslands())
-	} else if len(opts.PICs) > 0 {
-		o.ensureIslands(len(opts.PICs))
-	}
-	if opts.Chip != nil {
-		o.initChip(opts.Chip)
-	}
-	o.initPICs()
 	o.peakTempC = math.Inf(-1)
 	return o
 }
 
 // ensureIslands creates the per-island series for islands [len(islAlloc), n).
-// Idempotent; called from NewObserver and RunStart, never on the step path
-// once sized.
+// Idempotent; called from RunStart, never on the step path.
 func (o *Observer) ensureIslands(n int) {
 	allocV := o.reg.GaugeVec("cpm_island_alloc_watts",
 		"GPM-provisioned power of the island.", "run", "island")
@@ -160,6 +143,7 @@ func (o *Observer) ensureIslands(n int) {
 // initChip creates the chip-dependent series: per-level DVFS residency
 // counters (the table depth comes from the chip) and cache counters.
 func (o *Observer) initChip(chip *sim.CMP) {
+	o.chip = chip
 	resV := o.reg.CounterVec("cpm_island_level_residency_intervals_total",
 		"Intervals the island spent at each DVFS level.", "run", "island", "level")
 	o.residency = make([][]*Counter, chip.NumIslands())
@@ -189,9 +173,12 @@ func (o *Observer) initChip(chip *sim.CMP) {
 }
 
 // initPICs subscribes the tracking-error hook on every controller and
-// creates the controller-state gauges.
-func (o *Observer) initPICs() {
-	if len(o.pics) == 0 {
+// creates the controller-state gauges; no PICs clears them.
+func (o *Observer) initPICs(pics []*pic.Controller) {
+	o.pics = pics
+	o.picInteg, o.picFreq, o.picTarget = nil, nil, nil
+	o.picScale, o.picGainEst, o.picEst = nil, nil, nil
+	if len(pics) == 0 {
 		return
 	}
 	integV := o.reg.GaugeVec("cpm_pic_integrator",
@@ -231,6 +218,11 @@ func (o *Observer) initPICs() {
 // RunStart implements engine.Observer.
 func (o *Observer) RunStart(info engine.RunInfo) {
 	o.ensureIslands(info.Islands)
+	o.chip, o.residency = nil, nil
+	if info.Chip != nil {
+		o.initChip(info.Chip)
+	}
+	o.initPICs(info.PICs)
 	o.budget.Set(info.BudgetW)
 	o.peakTempC = math.Inf(-1)
 }

@@ -30,21 +30,13 @@ func newManaged(t testing.TB, gpmPeriod int) (*sim.CMP, *core.CPM) {
 	return cmp, ctl
 }
 
-func picsOf(cmp *sim.CMP, ctl *core.CPM) []*pic.Controller {
-	out := make([]*pic.Controller, cmp.NumIslands())
-	for i := range out {
-		out[i] = ctl.PIC(i)
-	}
-	return out
-}
-
 // TestObserverEndToEnd runs a full session with the observer attached and
 // cross-checks the recorded telemetry against ground truth from the chip.
 func TestObserverEndToEnd(t *testing.T) {
 	const warm, meas, period = 1, 3, 10
 	cmp, ctl := newManaged(t, period)
 	reg := NewRegistry()
-	obs := NewObserver(reg, ObserverOptions{Label: "test", Chip: cmp, PICs: picsOf(cmp, ctl)})
+	obs := NewObserver(reg, ObserverOptions{Label: "test"})
 	s, err := engine.NewSession(engine.NewCPMRunner(ctl), engine.SessionConfig{
 		WarmEpochs: warm, MeasureEpochs: meas, Period: period, BudgetW: 30, Label: "test",
 	}, obs)
@@ -133,9 +125,9 @@ func TestObserverEndToEnd(t *testing.T) {
 func TestObserverStepAllocs(t *testing.T) {
 	cmp, ctl := newManaged(t, 1<<20)
 	reg := NewRegistry()
-	obs := NewObserver(reg, ObserverOptions{Label: "alloc", Chip: cmp, PICs: picsOf(cmp, ctl)})
+	obs := NewObserver(reg, ObserverOptions{Label: "alloc"})
 	r := engine.NewCPMRunner(ctl)
-	obs.RunStart(engine.RunInfo{Label: "alloc", Islands: cmp.NumIslands(), Cores: cmp.NumCores(), BudgetW: 30})
+	obs.RunStart(engine.RunInfo{Label: "alloc", Islands: cmp.NumIslands(), Cores: cmp.NumCores(), BudgetW: 30, Chip: cmp, PICs: ctl.PICs()})
 	for k := 0; k < 5; k++ {
 		obs.ObserveStep(r.Step())
 	}
@@ -144,28 +136,25 @@ func TestObserverStepAllocs(t *testing.T) {
 	}
 }
 
-// TestObserverWithoutChip covers the degraded mode used by scenario-level
-// telemetry: no chip, no PICs — engine-level series only, island series
-// sized from RunInfo at RunStart.
+// TestObserverWithoutChip covers the degraded mode of an observer driven
+// by hand with a RunInfo that names no chip and no PICs: engine-level
+// series only, island series sized from RunInfo at RunStart.
 func TestObserverWithoutChip(t *testing.T) {
 	cmp, ctl := newManaged(t, 10)
 	reg := NewRegistry()
 	obs := NewObserver(reg, ObserverOptions{Label: "bare"})
-	s, err := engine.NewSession(engine.NewCPMRunner(ctl), engine.SessionConfig{
-		WarmEpochs: 1, MeasureEpochs: 2, Period: 10, BudgetW: 30,
-	}, obs)
-	if err != nil {
-		t.Fatal(err)
+	r := engine.NewCPMRunner(ctl)
+	obs.RunStart(engine.RunInfo{Label: "bare", Islands: cmp.NumIslands(), Cores: cmp.NumCores(), BudgetW: 30})
+	for k := 0; k < 30; k++ {
+		obs.ObserveStep(r.Step())
 	}
-	s.Run()
-	_ = cmp
 	if got := reg.CounterVec("cpm_intervals_total", "Simulated PIC intervals, warmup included.", "run").With("bare").Value(); got != 30 {
 		t.Errorf("cpm_intervals_total = %v, want 30", got)
 	}
 	for _, f := range reg.Gather() {
 		switch f.Name {
-		case "cpm_cache_hits_total", "cpm_island_level_residency_intervals_total":
-			t.Errorf("chip-dependent family %q present without a chip", f.Name)
+		case "cpm_cache_hits_total", "cpm_island_level_residency_intervals_total", "cpm_pic_integrator":
+			t.Errorf("chip- or PIC-dependent family %q present without a chip", f.Name)
 		case "cpm_island_level":
 			if len(f.Samples) != cmp.NumIslands() {
 				t.Errorf("island series sized %d, want %d", len(f.Samples), cmp.NumIslands())
@@ -191,7 +180,7 @@ func TestObserverAdaptiveGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	obs := NewObserver(reg, ObserverOptions{Label: "ad", Chip: cmp, PICs: picsOf(cmp, ctl)})
+	obs := NewObserver(reg, ObserverOptions{Label: "ad"})
 	s, err := engine.NewSession(engine.NewCPMRunner(ctl), engine.SessionConfig{
 		WarmEpochs: 1, MeasureEpochs: 3, Period: 10, BudgetW: 30, Label: "ad",
 	}, obs)
@@ -220,9 +209,9 @@ func TestObserverAdaptiveGauges(t *testing.T) {
 	}
 
 	// A fixed-gain run must not register the adaptive families at all.
-	cmp2, ctl2 := newManaged(t, 10)
+	_, ctl2 := newManaged(t, 10)
 	reg2 := NewRegistry()
-	obs2 := NewObserver(reg2, ObserverOptions{Label: "fx", Chip: cmp2, PICs: picsOf(cmp2, ctl2)})
+	obs2 := NewObserver(reg2, ObserverOptions{Label: "fx"})
 	s2, err := engine.NewSession(engine.NewCPMRunner(ctl2), engine.SessionConfig{
 		WarmEpochs: 1, MeasureEpochs: 2, Period: 10, BudgetW: 30, Label: "fx",
 	}, obs2)

@@ -49,8 +49,10 @@ func finalize(j *job, sum engine.Summary, suite *check.Suite, obs runObservers) 
 // batch of one — as one farm group: one shared trace sampler, member chips
 // stepped in lockstep. A farm member is golden-equivalent to a chip stepped
 // alone (proven in internal/check), so which batch a job happens to ride
-// never changes its response bytes.
-func (s *Server) executeFarm(batch []*job) {
+// never changes its response bytes. It returns each job's outcome for
+// runBatch to publish.
+func (s *Server) executeFarm(batch []*job) []jobResult {
+	out := make([]jobResult, len(batch))
 	obs := make([]runObservers, len(batch))
 	suites := make([]*check.Suite, len(batch))
 	specs := make([]farm.ChipSpec, len(batch))
@@ -72,22 +74,26 @@ func (s *Server) executeFarm(batch []*job) {
 	f, err := farm.New(specs, farm.Options{})
 	if err != nil {
 		// Group construction failed as a whole; fail every member.
-		for _, j := range batch {
-			s.m.runs.Inc()
-			s.finish(j, nil, fmt.Errorf("serve: building farm batch: %w", err))
+		for i := range out {
+			out[i].err = fmt.Errorf("serve: building farm batch: %w", err)
 		}
-		return
+		return out
 	}
 	// One group, one sampler: the inner lockstep rounds are the
 	// parallelism-free unit, so a single pool worker is exact and cheap.
 	sums, err := f.Run(engine.Pool{Workers: 1}, nil)
 	for i, j := range batch {
-		s.m.runs.Inc()
 		if err != nil {
-			s.finish(j, nil, fmt.Errorf("serve: running farm batch: %w", err))
+			out[i].err = fmt.Errorf("serve: running farm batch: %w", err)
 			continue
 		}
-		res, ferr := finalize(j, sums[i], suites[i], obs[i])
-		s.finish(j, res, ferr)
+		out[i].res, out[i].err = finalize(j, sums[i], suites[i], obs[i])
 	}
+	return out
+}
+
+// jobResult is one job's outcome.
+type jobResult struct {
+	res *result
+	err error
 }

@@ -349,9 +349,10 @@ func (s *Server) runBatch(batch []*job) {
 		}
 	}
 	start := time.Now()
-	s.executeFarm(batch)
+	out := s.executeFarm(batch)
 	s.m.runSeconds.Observe(time.Since(start).Seconds())
 	s.m.batchSize.Observe(float64(len(batch)))
+	s.m.runs.Add(float64(len(batch)))
 	s.mu.Lock()
 	s.stats.Runs += uint64(len(batch))
 	if len(batch) > 1 {
@@ -359,6 +360,11 @@ func (s *Server) runBatch(batch []*job) {
 		s.stats.BatchedJobs += uint64(len(batch))
 	}
 	s.mu.Unlock()
+	// Publish only after counting: a client holding a response must see
+	// its run in Stats.
+	for i, j := range batch {
+		s.finish(j, out[i].res, out[i].err)
+	}
 }
 
 // finish publishes a job's result, caches it, and releases the flight so
