@@ -4,7 +4,7 @@ FUZZTIME ?= 20s
 .PHONY: build test race vet bench bench-sweep sweep fuzz cover golden telemetry test-metrics-race snapshot-check farm-check fleet-bench serve-check serve-smoke policy-check resilience-check resilience-smoke tech-check scorecard reports-drift all
 
 # Perf trajectory output of `make bench` (see EXPERIMENTS.md).
-BENCH_OUT ?= BENCH_PR6.json
+BENCH_OUT ?= BENCH_PR14.json
 
 all: vet build test
 

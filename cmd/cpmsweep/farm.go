@@ -21,11 +21,11 @@ import (
 // instead of 1+2*len(budgets) runs. Grouping never changes a chip's
 // trajectory, so the CSV is byte-identical at any -workers or -farm-size.
 func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]engine.Summary, []*check.Suite, error) {
-	var warmManaged, warmBase, samplerState []byte
+	var warmState, samplerState []byte
 	var err error
 	warmLeft := o.Warm
 	if o.WarmStart {
-		warmManaged, warmBase, samplerState, err = warmFarmTemplates(cfg, o.Warm)
+		warmState, samplerState, err = warmFarmTemplate(cfg, o.Warm)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -34,16 +34,13 @@ func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Wri
 			o.Warm, len(o.Fracs))
 	}
 
-	bcfg := cfg
-	bcfg.InitialLevel = -1
-
 	specs := make([]farm.ChipSpec, numPoints(o))
 	suites := make([]*check.Suite, len(specs))
 	for i := range specs {
 		i := i
 		specs[i] = farm.ChipSpec{
 			Config: cfg,
-			Init:   restoreWarmTemplate(warmManaged),
+			Init:   restoreWarmTemplate(warmState),
 			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
 				sess, suite, err := wirePoint(cmp, o, cal, i, warmLeft)
 				suites[i] = suite
@@ -51,7 +48,6 @@ func sweepFarm(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Wri
 			},
 		}
 	}
-	specs[0].Config, specs[0].Init = bcfg, restoreWarmTemplate(warmBase)
 
 	f, err := farm.New(specs, farm.Options{MaxGroup: o.FarmSize, SamplerState: samplerState})
 	if err != nil {
@@ -84,51 +80,32 @@ func progressPrinter(logw io.Writer) func(done, total int) {
 	}
 }
 
-// warmFarmTemplates warms the two template chips — managed-init for the
-// budget points, top-level-init for the unmanaged baseline — in lockstep
-// over ONE shared sampler, and snapshots both plus the sampler. Budget
-// points fork from the matching template and the farm's samplers resume
-// from the sampler state, cursors aligned with the templates' interval
-// counters.
-func warmFarmTemplates(cfg sim.Config, warmEpochs int) (managed, base, samplerState []byte, err error) {
+// warmFarmTemplate warms the template chip every point forks from — the
+// baseline and the budget points alike start at the top level (cfg's
+// InitialLevel) — over its own sampler, and snapshots the chip and the
+// sampler. The farm's samplers resume from the sampler state, cursors
+// aligned with the template's interval counter.
+func warmFarmTemplate(cfg sim.Config, warmEpochs int) (chip, samplerState []byte, err error) {
 	sampler, err := sim.NewSampler(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	cmpM, err := sim.NewWithRecords(cfg, sampler)
+	cmp, err := sim.NewWithRecords(cfg, sampler)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	cmpM.SetCacheStatsSource(sampler.CacheStats)
-	bcfg := cfg
-	bcfg.InitialLevel = -1
-	cmpB, err := sim.NewWithRecords(bcfg, sampler)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cmpB.SetCacheStatsSource(sampler.CacheStats)
-
+	cmp.SetCacheStatsSource(sampler.CacheStats)
 	for k := 0; k < warmEpochs*20; k++ {
-		cmpM.Step()
-		cmpB.Step()
-	}
-
-	snapChip := func(c *sim.CMP) ([]byte, error) {
-		e := snapshot.NewEncoder()
-		if err := c.Snapshot(e); err != nil {
-			return nil, err
-		}
-		return e.Bytes(), nil
-	}
-	if managed, err = snapChip(cmpM); err != nil {
-		return nil, nil, nil, err
-	}
-	if base, err = snapChip(cmpB); err != nil {
-		return nil, nil, nil, err
+		cmp.Step()
 	}
 	e := snapshot.NewEncoder()
+	if err := cmp.Snapshot(e); err != nil {
+		return nil, nil, err
+	}
+	chip = e.Bytes()
+	e = snapshot.NewEncoder()
 	sampler.Snapshot(e)
-	return managed, base, e.Bytes(), nil
+	return chip, e.Bytes(), nil
 }
 
 // restoreWarmTemplate adapts a warm-template snapshot into a ChipSpec.Init;

@@ -151,10 +151,9 @@ type sweepOptions struct {
 	// Check attaches the invariant suite to every run; a violation fails
 	// the sweep.
 	Check bool
-	// WarmStart warms one unmanaged chip per chip configuration, snapshots
-	// it, and forks every budget point from the snapshot with a zero
-	// warm-up window — the warm-up cost is paid once instead of once per
-	// (budget, controller) pair. Off by default: the forked warm-up is
+	// WarmStart warms one unmanaged chip, snapshots it, and forks every
+	// point from the snapshot with a zero warm-up window — the warm-up cost
+	// is paid once instead of once per point. Off by default: the forked warm-up is
 	// unmanaged, so the measured trajectories (and CSV) differ slightly
 	// from the default per-point managed warm-up.
 	WarmStart bool

@@ -20,28 +20,20 @@ import (
 // CSV stays byte-identical to the farm route at any worker count and under
 // any kill schedule.
 //
-// Under -warmstart the warm chip snapshots become the roots of the
-// checkpoint lineage tree: every budget point forks from a root, and its
-// periodic checkpoints chain beneath it — the snapshot-tree generalization
-// of the linear warm-start fork.
+// Under -warmstart the warm chip snapshot becomes the root of the
+// checkpoint lineage tree: every point forks from it, and its periodic
+// checkpoints chain beneath it — the snapshot-tree generalization of the
+// linear warm-start fork.
 func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]engine.Summary, []*check.Suite, error) {
-	var warmManaged, warmBase []byte
+	var warmState []byte
 	var err error
 	tree := sweepd.NewTree()
-	rootManaged, rootBase := -1, -1
-	bcfg := cfg
-	bcfg.InitialLevel = -1
+	root := -1
 	if o.WarmStart {
-		if warmManaged, err = warmChipSnapshot(cfg, o.Warm); err != nil {
+		if warmState, err = warmChipSnapshot(cfg, o.Warm); err != nil {
 			return nil, nil, err
 		}
-		if warmBase, err = warmChipSnapshot(bcfg, o.Warm); err != nil {
-			return nil, nil, err
-		}
-		if rootManaged, err = tree.Add(-1, "warm:managed", o.Warm*20, warmManaged); err != nil {
-			return nil, nil, err
-		}
-		if rootBase, err = tree.Add(-1, "warm:unmanaged", o.Warm*20, warmBase); err != nil {
+		if root, err = tree.Add(-1, "warm", o.Warm*20, warmState); err != nil {
 			return nil, nil, err
 		}
 		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
@@ -56,17 +48,16 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 	suites := make([]*check.Suite, nPts) // final incarnation per point
 	for i := range pts {
 		i := i
-		name, pcfg, warmState := "unmanaged", bcfg, warmBase
-		base[i] = rootBase
+		name := "unmanaged"
 		if i > 0 {
 			pi := (i - 1) / 2
-			name, pcfg, warmState = fmt.Sprintf("%s-%d-%.2f", pointKind(i), pi, o.Fracs[pi]), cfg, warmManaged
-			base[i] = rootManaged
+			name = fmt.Sprintf("%s-%d-%.2f", pointKind(i), pi, o.Fracs[pi])
 		}
+		base[i] = root
 		// Each Build is one incarnation of the point: a fresh chip (forked
 		// from the warm snapshot when there is one) carrying its stack.
 		pts[i] = sweepd.Point{Name: name, Build: func() (*sweepd.Instance, error) {
-			cmp, warm, err := forkWarmChip(pcfg, warmState, o.Warm)
+			cmp, warm, err := forkWarmChip(cfg, warmState, o.Warm)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +100,7 @@ func sweepResilient(cfg sim.Config, cal core.Calibration, o sweepOptions, logw i
 }
 
 // warmChipSnapshot steps a fresh unmanaged chip through the warm-up window
-// and returns its full-state snapshot, to be forked by every budget point.
+// and returns its full-state snapshot, to be forked by every point.
 func warmChipSnapshot(cfg sim.Config, warmEpochs int) ([]byte, error) {
 	cmp, err := sim.New(cfg)
 	if err != nil {

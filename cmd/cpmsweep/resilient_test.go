@@ -58,9 +58,9 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 }
 
 // TestResilientWarmstartMatchesScalar pins the snapshot-tree fork path:
-// warm-started resilient sweeps (budget points forked from warm chip
-// snapshots recorded as tree roots) must print the pinned warm-started CSV,
-// with and without workers being killed.
+// warm-started resilient sweeps (every point forked from the warm chip
+// snapshot recorded as the tree root) must print the pinned warm-started
+// CSV, with and without workers being killed.
 func TestResilientWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-started resilient sweep in -short mode")

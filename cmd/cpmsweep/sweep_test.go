@@ -310,7 +310,7 @@ func TestSweepFarmMatchesScalar(t *testing.T) {
 }
 
 // TestSweepFarmWarmstartMatchesScalar pins the warm-started farm route:
-// thin warm templates over a shared sampler fork into the pinned
+// one thin warm template over its own sampler forks into the pinned
 // trajectories at every pool and group size.
 func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {

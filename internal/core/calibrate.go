@@ -61,40 +61,64 @@ func (c Calibration) RecommendedExponent() float64 {
 }
 
 // Calibrate performs the offline identification for the chip described by
-// cfg: first an unmanaged run at the top operating point (warm + measure
-// intervals), then a white-noise DVFS run of the same length during which
-// per-island (utilization, power) pairs and (Δpower, Δfrequency) pairs are
-// collected and fitted.
+// cfg: an unmanaged run at the top operating point (warm + measure
+// intervals), and a white-noise DVFS run (warm intervals, then
+// max(measure/8, 2) held windows of 8) during which per-island
+// (utilization, power) pairs and (Δpower, Δfrequency) pairs are collected
+// and fitted.
+//
+// The two runs are a 2-member lockstep group over one record stream:
+// records do not depend on the operating point, so in every interval the
+// unmanaged chip's sampler draws one batch and the white-noise chip steps
+// on it too, paying the sampling half (>95% of a step) once. The longer
+// run steps on alone. Each chip sees exactly the records a private sampler
+// would have drawn, so the result is unchanged.
 func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 	if warm < 0 || measure < 2 {
 		return Calibration{}, errors.New("core: need at least two measurement intervals")
 	}
 
-	// Unmanaged baseline.
 	cfg.InitialLevel = -1
-	cmp, err := sim.New(cfg)
+	base, err := sim.New(cfg)
 	if err != nil {
 		return Calibration{}, err
 	}
-	cal := Calibration{}
-	for k := 0; k < warm; k++ {
-		cmp.Step()
+	// The white-noise chip is record-driven: a replayed trace reaches it
+	// through base's source, and it has nothing of its own to record.
+	wcfg := cfg
+	wcfg.Replay, wcfg.RecordTraces = nil, false
+	cmp, err := sim.NewWithRecords(wcfg, base.RecordSource())
+	if err != nil {
+		return Calibration{}, err
 	}
-	for k := 0; k < measure; k++ {
-		r := cmp.Step()
-		cal.UnmanagedPowerW += r.ChipPowerW
-		cal.UnmanagedBIPS += r.TotalBIPS
-	}
-	cal.UnmanagedPowerW /= float64(measure)
-	cal.UnmanagedBIPS /= float64(measure)
 
-	// White-noise DVFS run on a fresh instance of the same chip. Each
-	// random level is *held* for a short measurement window and the window
-	// mean forms one calibration sample: per-interval workload phase noise
-	// perturbs utilization much more than power, and fitting on raw
-	// intervals would bury the level-to-level relation under it (this is
-	// also how the paper's Figure 6 points are obtained — per measurement
-	// window, not per controller tick).
+	// Unmanaged baseline: stepBase advances it by one interval while it has
+	// intervals left. It goes first in every interval, so its sampler draws
+	// the batch the white-noise chip then steps on.
+	cal := Calibration{}
+	k := 0
+	stepBase := func() {
+		if k < warm+measure {
+			r := base.Step()
+			if k >= warm {
+				cal.UnmanagedPowerW += r.ChipPowerW
+				cal.UnmanagedBIPS += r.TotalBIPS
+			}
+		}
+		k++
+	}
+	step := func() sim.Result {
+		stepBase()
+		return cmp.Step()
+	}
+
+	// White-noise DVFS run, each interval stepped right after the
+	// baseline's (step). Each random level is *held* for a short
+	// measurement window and the window mean forms one calibration sample:
+	// per-interval workload phase noise perturbs utilization much more than
+	// power, and fitting on raw intervals would bury the level-to-level
+	// relation under it (this is also how the paper's Figure 6 points are
+	// obtained — per measurement window, not per controller tick).
 	const (
 		holdIntervals = 8
 		settle        = 2 // discard post-transition transients
@@ -105,10 +129,6 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 		// keeps the estimate unbiased where it is actually used.
 		minLevel = 2
 	)
-	cmp, err = sim.New(cfg)
-	if err != nil {
-		return Calibration{}, err
-	}
 	n := cmp.NumIslands()
 	rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 0xca11b))
 	utils := make([][]float64, n)
@@ -119,8 +139,8 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 	prevNorm := make([]float64, n)
 	havePrev := false
 
-	for k := 0; k < warm; k++ {
-		cmp.Step()
+	for j := 0; j < warm; j++ {
+		step()
 	}
 	windows := measure / holdIntervals
 	if windows < 2 {
@@ -156,9 +176,9 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 			lvls[i] = append(lvls[i], cmp.Level(i))
 		}
 		var norm []float64
-		for k := 0; k < holdIntervals; k++ {
-			r := cmp.Step()
-			if k < settle {
+		for h := 0; h < holdIntervals; h++ {
+			r := step()
+			if h < settle {
 				continue
 			}
 			if norm == nil {
@@ -190,6 +210,11 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 		}
 		havePrev = true
 	}
+	for k < warm+measure {
+		stepBase()
+	}
+	cal.UnmanagedPowerW /= float64(measure)
+	cal.UnmanagedBIPS /= float64(measure)
 
 	for i := 0; i < n; i++ {
 		lin, r2, err := sensor.FitTransducer(utils[i], fracs[i])

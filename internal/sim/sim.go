@@ -658,6 +658,13 @@ func (c *CMP) SetCacheStatsSource(f func() CacheStats) { c.cacheStatsSrc = f }
 // reads, the island-resolution twin of SetCacheStatsSource.
 func (c *CMP) SetIslandCacheStatsSource(f func(int) CacheStats) { c.islandCacheStatsSrc = f }
 
+// RecordSource returns the source the chip draws its records from — for a
+// New chip its own sampler (island-parallel under cfg.Parallel) or replay
+// reader. A NewWithRecords chip built on it shares the stream: it must step
+// in lockstep with this chip for as long as both step (see RecordSource),
+// and may go on alone once this chip stops.
+func (c *CMP) RecordSource() RecordSource { return c.src }
+
 // CorePowers copies the previous interval's per-core oracle power (W) into
 // dst, which must have NumCores capacity; it returns dst[:NumCores].
 // Allocation-free when dst is large enough — the farm layer's column
