@@ -49,10 +49,12 @@ fuzz:
 # Checkpoint/restore gate: codec round-trips, every layer's snapshot tests,
 # the six-scenario resume-equivalence proof (snapshot mid-run, restore into a
 # fresh process-equivalent chip, finish bit-identically against the pinned
-# goldens), plus a short decoder fuzz smoke.
+# goldens), the cpmsim checkpoint/resume round trip and its header guard,
+# plus a short decoder fuzz smoke.
 snapshot-check:
 	$(GO) test ./internal/snapshot ./internal/pic ./internal/gpm
 	$(GO) test ./internal/check -run 'TestGoldenSnapshotResumeEquivalence|TestSessionSnapshotRejections|TestFNV64a' -v
+	$(GO) test ./cmd/cpmsim -run 'TestCheckpointResume' -v
 	$(GO) test ./internal/snapshot -fuzz FuzzSnapshotDecode -fuzztime 10s
 
 # Farm equivalence gate (race-enabled): the batched shared-sampler path must
@@ -60,7 +62,11 @@ snapshot-check:
 # shared-sampler farm, group splits, distinct-seed replicas, whole-fleet
 # snapshot/restore mid-run — plus the sweep-level CSV byte-identity of
 # every farm route against the pinned sweeps and the fleet metrics observer.
+# Grouping is sound only if the workload key is: the identity completeness
+# tests (every config field classified, compute-half fields never move the
+# record stream) run first.
 farm-check:
+	$(GO) test -race ./internal/sim ./internal/check -run 'TestIdentity'
 	$(GO) test -race ./internal/check -run 'TestFarm'
 	$(GO) test -race ./internal/metrics -run 'TestFarmObserver'
 	$(GO) test -race ./cmd/cpmsweep -run 'TestSweepFarm'

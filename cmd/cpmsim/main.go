@@ -230,7 +230,7 @@ func runScenarios(c cliConfig, out io.Writer) error {
 		}
 		resumed := ""
 		if c.resume != "" {
-			if err := restoreSession(sess, c.resume, name, c.opts.Seed); err != nil {
+			if err := restoreSession(sess, c.resume, sc, c.opts.Seed); err != nil {
 				return err
 			}
 			resumed = " (resumed)"
@@ -245,14 +245,11 @@ func runScenarios(c cliConfig, out io.Writer) error {
 	return nil
 }
 
-// checkpointKind tags cpmsim session checkpoints; the fingerprint binds a
-// file to its (scenario, seed) so a resume into the wrong stack fails at
-// the header, before any state is decoded.
+// checkpointKind tags cpmsim session checkpoints. The header fingerprint
+// is the run identity check.Scenario.Key(seed), which binds a file to its
+// scenario and seed, so a resume into the wrong stack fails at the header,
+// before any state is decoded.
 const checkpointKind = "cpmsim-session"
-
-func checkpointFingerprint(name string, seed uint64) string {
-	return fmt.Sprintf("%s/seed=%d", name, seed)
-}
 
 // defaultCheckpointAt resolves the checkpoint boundary when -at is not
 // given: the end of warmup, or — for runs with no warm-up intervals, where
@@ -291,7 +288,7 @@ func runCheckpoint(c cliConfig, out io.Writer) error {
 		return fmt.Errorf("cpmsim checkpoint: ran %d of %d intervals", got, at)
 	}
 	e := snapshot.NewEncoder()
-	e.Header(snapshot.Header{Kind: checkpointKind, Fingerprint: checkpointFingerprint(name, c.opts.Seed)})
+	e.Header(snapshot.Header{Kind: checkpointKind, Fingerprint: sc.Key(c.opts.Seed)})
 	if err := sess.Snapshot(e); err != nil {
 		return err
 	}
@@ -304,7 +301,7 @@ func runCheckpoint(c cliConfig, out io.Writer) error {
 
 // restoreSession loads a checkpoint file into a freshly built session,
 // validating the header against the scenario and seed being resumed.
-func restoreSession(sess *engine.Session, path, name string, seed uint64) error {
+func restoreSession(sess *engine.Session, path string, sc check.Scenario, seed uint64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -317,8 +314,9 @@ func restoreSession(sess *engine.Session, path, name string, seed uint64) error 
 	if h.Kind != checkpointKind {
 		return fmt.Errorf("cpmsim: %s holds a %q snapshot, want %q", path, h.Kind, checkpointKind)
 	}
-	if want := checkpointFingerprint(name, seed); h.Fingerprint != want {
-		return fmt.Errorf("cpmsim: checkpoint %s was taken for %s, resuming %s", path, h.Fingerprint, want)
+	if want := sc.Key(seed); h.Fingerprint != want {
+		return fmt.Errorf("cpmsim: checkpoint %s was taken for run %s, resuming %s seed %d (run %s)",
+			path, h.Fingerprint, sc.Name, seed, want)
 	}
 	if err := sess.Restore(d); err != nil {
 		return fmt.Errorf("cpmsim: restoring %s: %w", path, err)

@@ -217,3 +217,49 @@ func TestScenarioTelemetryParity(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointResume: a cpm-default checkpoint resumed into a fresh
+// stack prints the uninterrupted run's summary, and the header refuses a
+// resume into another scenario or the same scenario at another seed.
+func TestCheckpointResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden scenario replay in -short mode")
+	}
+	ckpt := filepath.Join(t.TempDir(), "cpm-default.ckpt")
+	run := func(argv ...string) (string, error) {
+		t.Helper()
+		c, err := parseCLI(argv, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if c.cmd == "checkpoint" {
+			err = runCheckpoint(c, &out)
+		} else {
+			err = runScenarios(c, &out)
+		}
+		return out.String(), err
+	}
+	if _, err := run("-o", ckpt, "checkpoint", "cpm-default"); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := run("scenario", "cpm-default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := run("-resume", ckpt, "scenario", "cpm-default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Replace(resumed, " (resumed)", "", 1); got != whole || got == resumed {
+		t.Errorf("resumed run printed\n  %q\nuninterrupted run printed\n  %q", resumed, whole)
+	}
+	for _, argv := range [][]string{
+		{"-resume", ckpt, "scenario", "budget-60"},
+		{"-seed", "2", "-resume", ckpt, "scenario", "cpm-default"},
+	} {
+		if _, err := run(argv...); err == nil || !strings.Contains(err.Error(), "was taken for run") {
+			t.Errorf("%v: err %v, want a header mismatch", argv, err)
+		}
+	}
+}

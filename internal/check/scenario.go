@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"github.com/cpm-sim/cpm/internal/control"
@@ -11,6 +12,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -71,6 +73,40 @@ func (s Scenario) meas() int {
 		return s.MeasureEpochs
 	}
 	return 4
+}
+
+// scenarioViaConfig classifies every Scenario field for Key: true for the
+// fields that reach the chip configuration, which Key covers through
+// BuildConfig(seed).Key(), false for the control fields Key encodes itself.
+// A field missing here is encoded like a control field, and the identity
+// completeness test fails until it is classified.
+var scenarioViaConfig = map[string]bool{
+	"Mix": true, "Variation": true, "Tech": true, "Classes": true,
+
+	"Name": false, "Policy": false, "BudgetFrac": false, "MaxBIPS": false,
+	"Faults": false, "GainScale": false, "Adaptive": false,
+	"WarmEpochs": false, "MeasureEpochs": false,
+}
+
+// Key is the run identity of the scenario at seed: the chip identity
+// BuildConfig(seed).Key() plus the canonical encoding of every control
+// field, with the run windows resolved (0 and the default are one run).
+// Equal keys mean bit-identical runs; it keys cpmserve's result cache and
+// binds cpmsim checkpoints to the run they were taken from.
+func (s Scenario) Key(seed uint64) string {
+	e := snapshot.NewEncoder()
+	e.String(s.BuildConfig(seed).Key())
+	s.WarmEpochs, s.MeasureEpochs = s.Defaults()
+	v := reflect.ValueOf(s)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		if scenarioViaConfig[t.Field(i).Name] {
+			continue
+		}
+		e.String(t.Field(i).Name)
+		e.Canonical(v.Field(i))
+	}
+	return e.Key()
 }
 
 // Canonical returns the eleven pinned scenarios. Names are stable — they

@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
 	"github.com/cpm-sim/cpm/internal/sim"
-	"github.com/cpm-sim/cpm/internal/snapshot"
 )
 
 // calCacheCap bounds the process calibration cache. A long-lived process
@@ -15,7 +13,7 @@ import (
 // least recently used entry is evicted first.
 const calCacheCap = 64
 
-// calibrationCache memoizes calibrations by the identity calKey derives.
+// calibrationCache memoizes calibrations by run identity (sim.Config.Key).
 // Concurrent misses on one key calibrate once: the first caller runs the
 // fit and the rest wait for its result.
 type calibrationCache struct {
@@ -40,22 +38,12 @@ func newCalibrationCache() *calibrationCache {
 var processCal = newCalibrationCache()
 
 // CalibrateCached is Calibrate(cfg, 60, 240) memoized for the process.
-// Calibration dominates a short run's cost and is a pure function of its
-// inputs, so runs sharing them share one fit. The key covers the inputs
-// callers vary — mix, seed, interval, island parallelism, technology node,
-// island classes and the variation map's contents; every other field of cfg
-// must be at its DefaultConfig value.
+// Calibration dominates a short run's cost and is a pure function of the
+// chip configuration, so runs with equal cfg.Key() share one fit: the key
+// covers every input that shapes the chip and leaves out only the
+// run-invariant Parallel and RecordTraces.
 func CalibrateCached(cfg sim.Config) (Calibration, error) {
-	return processCal.get(calKey(cfg), func() (Calibration, error) { return Calibrate(cfg, 60, 240) })
-}
-
-// calKey names the calibration inputs of cfg.
-func calKey(cfg sim.Config) string {
-	e := snapshot.NewEncoder()
-	cfg.Variation.Snapshot(e)
-	return fmt.Sprintf("%s/%d/seed=%d/dt=%g/par=%t/tech=%s/classes=%v/var=%x",
-		cfg.Mix.Name, cfg.Mix.Cores(), cfg.Seed, cfg.IntervalSec, cfg.Parallel,
-		cfg.Tech, cfg.IslandClasses, e.Bytes())
+	return processCal.get(cfg.Key(), func() (Calibration, error) { return Calibrate(cfg, 60, 240) })
 }
 
 // errCalibrationPanicked is what callers waiting on a calibration that

@@ -20,7 +20,7 @@ func TestCalCacheBounded(t *testing.T) {
 	cfg := sim.DefaultConfig(workload.Mix1())
 	calls := 0
 	fit := func() (Calibration, error) { calls++; return Calibration{PlantGain: float64(calls)}, nil }
-	keyOf := func(seed uint64) string { cfg.Seed = seed; return calKey(cfg) }
+	keyOf := func(seed uint64) string { cfg.Seed = seed; return cfg.Key() }
 	for seed := uint64(1); seed <= calCacheCap+1; seed++ {
 		if _, err := c.get(keyOf(seed), fit); err != nil {
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func TestCalCacheBounded(t *testing.T) {
 // all receive that result.
 func TestCalCacheSingleflight(t *testing.T) {
 	c := newCalibrationCache()
-	key := calKey(sim.DefaultConfig(workload.Mix1()))
+	key := sim.DefaultConfig(workload.Mix1()).Key()
 	var calls atomic.Int32
 	release := make(chan struct{})
 	fit := func() (Calibration, error) {
@@ -105,7 +105,7 @@ func TestCalCacheSingleflight(t *testing.T) {
 // leaves no pending flight behind.
 func TestCalCacheErrorsNotCached(t *testing.T) {
 	c := newCalibrationCache()
-	key := calKey(sim.DefaultConfig(workload.Mix1()))
+	key := sim.DefaultConfig(workload.Mix1()).Key()
 	boom := errors.New("boom")
 	if _, err := c.get(key, func() (Calibration, error) { return Calibration{}, boom }); err != boom {
 		t.Fatalf("err %v, want %v", err, boom)
@@ -123,21 +123,68 @@ func TestCalCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestCalKeyDistinguishesVariationContents: two variation maps of equal
-// length are different chips and must not share a calibration.
-func TestCalKeyDistinguishesVariationContents(t *testing.T) {
-	a := sim.DefaultConfig(workload.Mix1())
-	b := a
-	a.Variation = variation.PaperIslands(2)
-	b.Variation = variation.Random(3, 8, 0.2)
-	if a.Variation.Len() != b.Variation.Len() {
-		t.Fatalf("fixture maps differ in length: %d vs %d", a.Variation.Len(), b.Variation.Len())
+// TestCalKeyCoversChipInputs: configurations that calibrate differently
+// never share a calibration — equal-length variation maps with different
+// contents, custom mixes with one name and core count but different
+// benchmark placement, a doubled thermal resistance, an L2 prefetcher.
+func TestCalKeyCoversChipInputs(t *testing.T) {
+	base := sim.DefaultConfig(workload.Mix1())
+	mix := func(spec string) workload.Mix {
+		m, err := workload.ParseMix(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if calKey(a) == calKey(b) {
-		t.Errorf("equal keys for different variation maps: %s", calKey(a))
+	with := func(edit func(*sim.Config)) sim.Config { cfg := base; edit(&cfg); return cfg }
+	if a, b := variation.PaperIslands(2), variation.Random(3, 8, 0.2); a.Len() != b.Len() {
+		t.Fatalf("fixture maps differ in length: %d vs %d", a.Len(), b.Len())
 	}
-	if calKey(a) == calKey(sim.DefaultConfig(workload.Mix1())) {
-		t.Error("variation map does not reach the key")
+	cases := []struct {
+		name string
+		a, b sim.Config
+	}{
+		{"variation contents",
+			with(func(c *sim.Config) { c.Variation = variation.PaperIslands(2) }),
+			with(func(c *sim.Config) { c.Variation = variation.Random(3, 8, 0.2) })},
+		{"variation present", base, with(func(c *sim.Config) { c.Variation = variation.PaperIslands(2) })},
+		{"custom mix placement",
+			with(func(c *sim.Config) { c.Mix = mix("mesa,bzip/gcc,sixtrack") }),
+			with(func(c *sim.Config) { c.Mix = mix("gcc,sixtrack/mesa,mesa") })},
+		{"thermal resistance", base, with(func(c *sim.Config) { c.Thermal.RthCPerW *= 2 })},
+		{"L2 prefetch degree", base, with(func(c *sim.Config) { c.L2PrefetchDegree = 2 })},
+	}
+	for _, tc := range cases {
+		if tc.a.Key() == tc.b.Key() {
+			t.Errorf("%s: both configurations key to %s", tc.name, tc.a.Key())
+		}
+	}
+}
+
+// TestCalibrateCachedParallelShares: island-parallel stepping is
+// bit-identical to sequential stepping (pinned in testdata), so a parallel
+// and a sequential calibration of one chip are one fit.
+func TestCalibrateCachedParallelShares(t *testing.T) {
+	saved := processCal
+	processCal = newCalibrationCache()
+	defer func() { processCal = saved }()
+	cfg := sim.DefaultConfig(workload.Mix{Name: "pair", Islands: [][]string{{"mesa"}, {"gcc"}}})
+	cfg.Parallel = true
+	par, err := CalibrateCached(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallel = false
+	seq, err := CalibrateCached(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(processCal.m); n != 1 {
+		t.Errorf("%d calibrations for one chip stepped parallel then sequential, want 1", n)
+	}
+	if par.PlantGain != seq.PlantGain || par.UnmanagedPowerW != seq.UnmanagedPowerW {
+		t.Errorf("sequential call got gain %g, power %g; parallel fit was %g, %g",
+			seq.PlantGain, seq.UnmanagedPowerW, par.PlantGain, par.UnmanagedPowerW)
 	}
 }
 
@@ -156,7 +203,7 @@ func TestCalCacheConcurrent(t *testing.T) {
 				cfg := cfg
 				cfg.Seed = seed + uint64(w%2)
 				fit := func() (Calibration, error) { return Calibration{PlantGain: float64(cfg.Seed)}, nil }
-				cal, err := c.get(calKey(cfg), fit)
+				cal, err := c.get(cfg.Key(), fit)
 				if err != nil || cal.PlantGain != float64(cfg.Seed) {
 					t.Errorf("seed %d: gain %g, err %v", cfg.Seed, cal.PlantGain, err)
 					return

@@ -6,14 +6,15 @@
 // The enabling property is that uarch.TraceRecords are frequency-
 // independent: the expensive half of a chip interval (phase generation,
 // address streams, ~20k sampled cache accesses — >95% of a live step)
-// depends only on the chip's workload identity (seed, mix, core and cache
-// configuration), not on its DVFS trajectory, controller, budget, memory
-// or thermal state. Chips sharing a WorkloadKey therefore share one
-// sim.Sampler: each interval the sampler runs once and every member chip
-// evaluates only its cheap frequency-dependent half (uarch.ComputeCore)
-// over its own per-chip state. A sweep's budget points — same workload,
-// different budgets and controllers — collapse into one group, so the
-// aggregate cost of N points approaches the cost of one.
+// depends only on the chip's workload identity (sim.Config.WorkloadKey:
+// seed, mix, core and cache configuration, tech node and island classes),
+// not on its DVFS trajectory, controller, budget, memory or thermal state.
+// Chips with equal workload keys therefore share one sim.Sampler: each
+// interval the sampler runs once and every member chip evaluates only its
+// cheap frequency-dependent half (uarch.ComputeCore) over its own per-chip
+// state. A sweep's budget points — same workload, different budgets and
+// controllers — collapse into one group, so the aggregate cost of N points
+// approaches the cost of one.
 //
 // Per-core observables are mirrored into flat structure-of-arrays Columns
 // (power, CPI, temperature, frequency vectors contiguous across chips), so
@@ -35,29 +36,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 )
-
-// WorkloadKey identifies the sampling half of a chip configuration: chips
-// with equal keys produce identical TraceRecord streams and may share one
-// sampler. Everything else in sim.Config — power model, memory timing,
-// thermal, variation, initial DVFS level, NoC, interval length — belongs
-// to the frequency-dependent half and may differ freely within a group.
-type WorkloadKey string
-
-// KeyOf derives the workload key of a configuration.
-func KeyOf(cfg sim.Config) WorkloadKey {
-	k := fmt.Sprintf("seed=%d/mix=%s%v/core=%+v/sharedl2=%v/pref=%d",
-		cfg.Seed, cfg.Mix.Name, cfg.Mix.Islands, cfg.Core, cfg.SharedL2, cfg.L2PrefetchDegree)
-	// Trace records depend on each island's core pipeline and frequency
-	// axis, so the tech node and island classes are part of workload
-	// identity; appended only when in use, legacy keys stay byte-identical.
-	if cfg.Tech.Enabled() {
-		k += "/tech=" + cfg.Tech.String()
-	}
-	if cfg.IslandClasses != nil {
-		k += fmt.Sprintf("/classes=%v", cfg.IslandClasses)
-	}
-	return WorkloadKey(k)
-}
 
 // ChipSpec describes one member chip of a farm.
 type ChipSpec struct {
@@ -96,7 +74,6 @@ type member struct {
 // group is the unit of sharing and of pool parallelism: one sampler plus
 // the member chips drawing records from it.
 type group struct {
-	key     WorkloadKey
 	sampler *sim.Sampler
 	members []member
 	fr      *engine.FarmRunner
@@ -119,7 +96,7 @@ type Farm struct {
 	onProgress func(completed, total int)
 }
 
-// New builds the fleet: specs are grouped by WorkloadKey (first-seen
+// New builds the fleet: specs are grouped by workload key (first-seen
 // order, split at opts.MaxGroup), each group gets one sampler, and every
 // spec becomes a record-driven chip plus session. Construction is eager
 // and deterministic; Run only steps.
@@ -130,13 +107,13 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 	f := &Farm{nSpecs: len(specs)}
 
 	// Group spec indices by workload key, preserving first-seen order.
-	order := []WorkloadKey{}
-	byKey := map[WorkloadKey][]int{}
+	order := []string{}
+	byKey := map[string][]int{}
 	for i, s := range specs {
 		if s.NewSession == nil {
 			return nil, fmt.Errorf("farm: chip %d has no session factory", i)
 		}
-		k := KeyOf(s.Config)
+		k := s.Config.WorkloadKey()
 		if _, ok := byKey[k]; !ok {
 			order = append(order, k)
 		}
@@ -150,7 +127,7 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 			if opts.MaxGroup > 0 && n > opts.MaxGroup {
 				n = opts.MaxGroup
 			}
-			g, err := buildGroup(k, specs, idxs[:n], opts.SamplerState)
+			g, err := buildGroup(specs, idxs[:n], opts.SamplerState)
 			if err != nil {
 				return nil, err
 			}
@@ -163,17 +140,17 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 }
 
 // buildGroup constructs one sampler and its member chips and sessions.
-func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []byte) (*group, error) {
+func buildGroup(specs []ChipSpec, idxs []int, samplerState []byte) (*group, error) {
 	sampler, err := sim.NewSampler(specs[idxs[0]].Config)
 	if err != nil {
-		return nil, fmt.Errorf("farm: sampler for %s: %w", key, err)
+		return nil, fmt.Errorf("farm: sampler for chip %d: %w", idxs[0], err)
 	}
 	if samplerState != nil {
 		if err := sampler.Restore(snapshot.NewDecoder(samplerState)); err != nil {
-			return nil, fmt.Errorf("farm: restoring sampler for %s: %w", key, err)
+			return nil, fmt.Errorf("farm: restoring sampler for chip %d: %w", idxs[0], err)
 		}
 	}
-	g := &group{key: key, sampler: sampler, baseCursor: sampler.Cursor()}
+	g := &group{sampler: sampler, baseCursor: sampler.Cursor()}
 	for _, i := range idxs {
 		spec := specs[i]
 		cmp, err := sim.NewWithRecords(spec.Config, sampler)

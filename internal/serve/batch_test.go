@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/check"
-	"github.com/cpm-sim/cpm/internal/farm"
 )
 
 // TestBatchAdmissionGoldenEquivalence holds the single worker on a blocker
@@ -20,9 +19,9 @@ func TestBatchAdmissionGoldenEquivalence(t *testing.T) {
 	// structure: exactly one key (the legacy Mix1 chip) holds a batchable
 	// majority, every other key is a singleton and runs alone. Fail
 	// loudly if that shape ever changes.
-	byKey := map[farm.WorkloadKey]int{}
+	byKey := map[string]int{}
 	for _, sc := range check.Canonical() {
-		byKey[farm.KeyOf(sc.BuildConfig(goldenSeed))]++
+		byKey[sc.BuildConfig(goldenSeed).WorkloadKey()]++
 	}
 	wantBatched, batchableKeys := 0, 0
 	for _, n := range byKey {

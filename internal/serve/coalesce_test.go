@@ -75,7 +75,7 @@ func TestCoalescingRunsOnce(t *testing.T) {
 
 // TestDistinctSeedsNeverShare proves the negative: requests differing only
 // in seed have distinct cache keys, run separately, and produce different
-// digests — a fingerprint collision here would silently serve one seed's
+// digests — a cache-key collision here would silently serve one seed's
 // physics as another's.
 func TestDistinctSeedsNeverShare(t *testing.T) {
 	var runs atomic.Int64
@@ -139,6 +139,8 @@ func TestCacheKeyIdentity(t *testing.T) {
 			Request{Scenario: "cpm-default", Seed: 1, BudgetFrac: 0.8, WarmEpochs: 2, MeasureEpochs: 4}, true},
 		{"seed differs", base, Request{Scenario: "cpm-default", Seed: 2}, false},
 		{"budget differs", base, Request{Scenario: "cpm-default", BudgetFrac: 0.6}, false},
+		{"budget differs past nine digits", Request{Scenario: "cpm-default", BudgetFrac: 0.8},
+			Request{Scenario: "cpm-default", BudgetFrac: 0.8000000001}, false},
 		{"warm window differs", base, Request{Scenario: "cpm-default", WarmEpochs: 3}, false},
 		{"measure window differs", base, Request{Scenario: "cpm-default", MeasureEpochs: 5}, false},
 		{"scenario differs", base, Request{Scenario: "budget-60"}, false},
@@ -147,13 +149,12 @@ func TestCacheKeyIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ka, kb := resolve(t, tc.a).CacheKey(), resolve(t, tc.b).CacheKey()
 			if (ka == kb) != tc.same {
-				t.Errorf("keys %s and %s; want same=%v\nfingerprints:\n  %s\n  %s",
-					ka, kb, tc.same, resolve(t, tc.a).Fingerprint(), resolve(t, tc.b).Fingerprint())
+				t.Errorf("keys %s and %s; want same=%v", ka, kb, tc.same)
 			}
 		})
 	}
 	// budget-60 vs cpm-default at the same explicit budget: the scenario
-	// name itself must stay in the fingerprint.
+	// name itself must stay in the key.
 	a := resolve(t, Request{Scenario: "cpm-default", BudgetFrac: 0.6})
 	b := resolve(t, Request{Scenario: "budget-60"})
 	if a.CacheKey() == b.CacheKey() {

@@ -10,7 +10,7 @@ import (
 // decoder, and any input it accepts must satisfy two round-trip laws —
 // re-encoding an accepted request decodes back to the same value, and
 // resolution (the cache-identity normalizer) is idempotent with a stable
-// fingerprint. Together these pin the property the whole cache leans on:
+// cache key. Together these pin the property the whole cache leans on:
 // the bytes on the wire fully determine the content address.
 func FuzzServeRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"scenario":"cpm-default"}`))
@@ -46,7 +46,7 @@ func FuzzServeRequestDecode(f *testing.F) {
 			t.Fatalf("round trip changed the request:\n  got  %+v\n  want %+v", back, req)
 		}
 
-		// Law 2: resolution is idempotent and fingerprint-stable.
+		// Law 2: resolution is idempotent and keeps the cache key.
 		res, _, err := req.Resolve()
 		if err != nil {
 			return // e.g. a syntactically fine but unknown scenario name
@@ -60,8 +60,8 @@ func FuzzServeRequestDecode(f *testing.F) {
 		if res2 != res {
 			t.Fatalf("resolve is not idempotent:\n  once  %+v\n  twice %+v", res, res2)
 		}
-		if res.CacheKey() != res2.CacheKey() || res.Fingerprint() != res2.Fingerprint() {
-			t.Fatalf("fingerprint unstable across resolves: %s vs %s", res.Fingerprint(), res2.Fingerprint())
+		if req.CacheKey() != res.CacheKey() || res.CacheKey() != res2.CacheKey() {
+			t.Fatalf("cache key unstable across resolves: %s, %s, %s", req.CacheKey(), res.CacheKey(), res2.CacheKey())
 		}
 		if res.CacheKey() == "" || len(res.CacheKey()) != 16 {
 			t.Fatalf("cache key %q is not a 16-hex-digit address", res.CacheKey())

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 
@@ -17,7 +16,7 @@ import (
 const MaxRequestBytes = 1 << 20
 
 // ResultVersion names the response-rendering generation. It participates in
-// every cache fingerprint, so a change to the report layout (like a bump of
+// every cache key, so a change to the report layout (like a bump of
 // snapshot.Version for simulator-state layout) invalidates cached results
 // instead of serving stale shapes.
 const ResultVersion = 1
@@ -49,8 +48,8 @@ type Request struct {
 	WarmEpochs    int `json:"warm_epochs,omitempty"`
 	MeasureEpochs int `json:"measure_epochs,omitempty"`
 	// Stream selects the NDJSON per-epoch streaming response instead of the
-	// single JSON report. Stream does not participate in the cache
-	// fingerprint: both renderings come from the same simulation.
+	// single JSON report. Stream does not participate in the cache key:
+	// both renderings come from the same simulation.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -98,8 +97,8 @@ func (r Request) Validate() error {
 // Resolve validates the request and fills every defaulted field from the
 // named scenario, returning the fully determined request: seed, budget
 // fraction and both epoch windows all concrete. Two submissions that mean
-// the same run resolve to the same value — and therefore the same
-// fingerprint — whether the client spelled the defaults out or not.
+// the same run resolve to the same value — and therefore the same cache
+// key — whether the client spelled the defaults out or not.
 func (r Request) Resolve() (Request, check.Scenario, error) {
 	if err := r.Validate(); err != nil {
 		return Request{}, check.Scenario{}, err
@@ -127,23 +126,27 @@ func (r Request) Resolve() (Request, check.Scenario, error) {
 	return r, sc, nil
 }
 
-// Fingerprint renders the resolved request's content identity, in the same
-// producer-chosen style as the snapshot checkpoint headers ("<scenario>/
-// seed=N/..."), versioned by both the snapshot state-layout version and the
-// serve result version. Identical fingerprints mean byte-identical
-// responses; the fingerprint is the cache and coalescing key's preimage.
-func (r Request) Fingerprint() string {
-	return fmt.Sprintf("%s/seed=%d/budget=%.9g/warm=%d/meas=%d/snap=v%d/result=v%d",
-		r.Scenario, r.Seed, r.BudgetFrac, r.WarmEpochs, r.MeasureEpochs,
-		snapshot.Version, ResultVersion)
+// CacheKey is the content address of the request's result, 16 hex digits:
+// the scenario's run identity (check.Scenario.Key) at the resolved seed,
+// budget and windows, versioned by the snapshot state-layout version and
+// the serve result version so a layout change invalidates cached results
+// instead of serving stale shapes. Explicit and implicit spellings of one
+// run share it; Stream is deliberately not part of the identity — both
+// response renderings are derived from one cached simulation. A request
+// that does not resolve has no result and gets the empty key.
+func (r Request) CacheKey() string {
+	r, sc, err := r.Resolve()
+	if err != nil {
+		return ""
+	}
+	return cacheKey(sc, r.Seed)
 }
 
-// CacheKey is the content address of the resolved request's result: the
-// 64-bit FNV-1a of the fingerprint, hex-rendered. Stream is deliberately
-// not part of the identity — both response renderings are derived from one
-// cached simulation.
-func (r Request) CacheKey() string {
-	h := fnv.New64a()
-	h.Write([]byte(r.Fingerprint()))
-	return fmt.Sprintf("%016x", h.Sum64())
+// cacheKey is CacheKey of a resolved request for scenario sc at seed.
+func cacheKey(sc check.Scenario, seed uint64) string {
+	e := snapshot.NewEncoder()
+	e.String(sc.Key(seed))
+	e.U32(snapshot.Version)
+	e.Int(ResultVersion)
+	return e.Key()
 }

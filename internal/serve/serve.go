@@ -5,16 +5,16 @@
 // carrying the golden digests that pin the run's observable behaviour.
 //
 // Determinism is the load-bearing property. Every request resolves to a
-// content-addressed fingerprint (Request.CacheKey, in the snapshot-header
-// style, versioned by snapshot.Version and ResultVersion), and the server
+// content address (Request.CacheKey: the scenario's run identity,
+// versioned by snapshot.Version and ResultVersion), and the server
 // exploits it at three levels:
 //
 //  1. Result cache: identical resolved requests are served from a bounded
 //     LRU of rendered results — byte-identical bodies, zero simulation.
 //  2. Coalescing: concurrent identical requests collapse onto one in-flight
 //     run (singleflight); followers wait for the leader's result.
-//  3. Batch admission: distinct queued requests that share a farm workload
-//     key (same sampling half: seed, mix, core/cache geometry) are run as
+//  3. Batch admission: distinct queued requests that share a workload key
+//     (sim.Config.WorkloadKey: the same sampling half) are run as
 //     one internal/farm group over a single shared trace sampler instead of
 //     N groups of one.
 //
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"github.com/cpm-sim/cpm/internal/check"
-	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/metrics"
 )
 
@@ -111,8 +110,9 @@ type job struct {
 	req Request
 	sc  check.Scenario
 	key string
-	// wkey groups jobs that may share one farm trace sampler.
-	wkey farm.WorkloadKey
+	// wkey groups jobs that may share one farm trace sampler
+	// (sim.Config.WorkloadKey).
+	wkey string
 
 	done chan struct{}
 	res  *result
@@ -244,7 +244,7 @@ const (
 // queue-bound check — is one critical section, so two identical concurrent
 // requests can never both become leaders.
 func (s *Server) submit(req Request, sc check.Scenario) (*job, string, *submitErr) {
-	key := req.CacheKey()
+	key := cacheKey(sc, req.Seed)
 	s.mu.Lock()
 	if s.draining {
 		s.stats.RejectedDraining++
@@ -276,7 +276,7 @@ func (s *Server) submit(req Request, sc check.Scenario) (*job, string, *submitEr
 		req:  req,
 		sc:   sc,
 		key:  key,
-		wkey: farm.KeyOf(sc.BuildConfig(req.Seed)),
+		wkey: sc.BuildConfig(req.Seed).WorkloadKey(),
 		done: make(chan struct{}),
 	}
 	s.flights[key] = j

@@ -16,7 +16,7 @@ import (
 // interval at a time to produce TraceRecord batches. Every chip New builds
 // owns one; because records do not depend on the operating point, every
 // chip sharing the sampler's workload identity (seed, mix, core and cache
-// configuration — see farm.WorkloadKey) can also be driven from one shared
+// configuration — see Config.WorkloadKey) can also be driven from one shared
 // Sampler through NewWithRecords, paying the expensive sampling work (>95%
 // of a step) once per interval instead of once per chip.
 //

@@ -90,9 +90,10 @@ const (
 type Header struct {
 	// Kind names the captured object ("session", "chip", ...).
 	Kind string
-	// Fingerprint is a producer-chosen configuration identity (scenario
-	// name, seed, geometry); Restore sites compare it against the
-	// fingerprint of the target they are restoring into.
+	// Fingerprint is a producer-chosen configuration identity (a run
+	// identity key such as check.Scenario.Key, or a sweep point name);
+	// Restore sites compare it against the fingerprint of the target they
+	// are restoring into.
 	Fingerprint string
 }
 

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -218,4 +220,52 @@ func TestShapeErrorf(t *testing.T) {
 	if !strings.Contains(err.Error(), "shape mismatch") || !strings.Contains(err.Error(), "want 4 tags, got 2") {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// TestCanonical: the reflective encoding is exact and order-free — map
+// iteration order never reaches the bytes, unexported fields and the sign
+// of zero do, and a nil pointer differs from a pointer to a zero value.
+func TestCanonical(t *testing.T) {
+	type inner struct{ hidden float64 }
+	type value struct {
+		M map[int][]string
+		P *inner
+		F float64
+	}
+	enc := func(v value) string {
+		e := NewEncoder()
+		e.Canonical(reflect.ValueOf(v))
+		return e.Key()
+	}
+	base := value{M: map[int][]string{}}
+	for i := 0; i < 32; i++ {
+		base.M[i] = []string{fmt.Sprint(i)}
+	}
+	for i := 0; i < 8; i++ {
+		again := value{M: map[int][]string{}}
+		for j := 31; j >= 0; j-- {
+			again.M[j] = []string{fmt.Sprint(j)}
+		}
+		if enc(again) != enc(base) {
+			t.Fatal("equal maps encode differently")
+		}
+	}
+	for name, v := range map[string]value{
+		"negative zero": {M: base.M, F: math.Copysign(0, -1)},
+		"set pointer":   {M: base.M, P: &inner{}},
+		"map entry":     {M: map[int][]string{0: {"0"}}},
+	} {
+		if enc(v) == enc(base) {
+			t.Errorf("%s does not reach the encoding", name)
+		}
+	}
+	if enc(value{M: base.M, P: &inner{}}) == enc(value{M: base.M, P: &inner{hidden: 1}}) {
+		t.Error("unexported field does not reach the encoding")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a func value encoded without panicking")
+		}
+	}()
+	NewEncoder().Canonical(reflect.ValueOf(func() {}))
 }
